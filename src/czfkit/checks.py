@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import corpus, hf, relations
 from .formula import Formula, free_vars
-from .hf import HFSet, BudgetExceeded
+from .hf import HFSet
 from .semantics import satisfies
 
 
@@ -103,19 +103,13 @@ def check_regular(a_set: HFSet, level: RegularityLevel,
                 failures.append(f"inaccessible: intersection of {a} missing")
                 break
         for a, b in itertools.product(a_set, repeat=2):
-            if not any(_full_in(c, a, b, max_count) for c in a_set):
+            if not any(relations.is_full(c, a, b, max_count)
+                       for c in a_set):
                 failures.append(f"inaccessible: no fullness witness for "
                                 f"a={a} b={b}")
                 break
     return RegularityReport(level=level, ok=not failures,
                             failures=tuple(failures))
-
-
-def _full_in(c: HFSet, a: HFSet, b: HFSet, max_count: int) -> bool:
-    try:
-        return relations.is_full(c, a, b, max_count)
-    except BudgetExceeded:
-        raise
 
 
 # -- embeddings ------------------------------------------------------------

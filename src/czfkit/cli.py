@@ -44,6 +44,24 @@ def _read_topology(path: str):
         raise _InputError(f"bad topology file: {e}") from None
 
 
+def _parse_name(text: str, t):
+    """A name whose every value is a frame element of t."""
+    try:
+        name = nm.parse_name(text)
+    except ValueError as e:
+        raise _InputError(f"bad name: {e}") from None
+    frames = set(tp.frame_elements(t))
+    stack = [name]
+    while stack:
+        for x, p in stack.pop().entries:
+            if p not in frames:
+                raise _InputError(
+                    f"bad name: {tp.render_frame_element(p)} is not a frame "
+                    f"element of the topology")
+            stack.append(x)
+    return name
+
+
 def _parse_env(pairs, universe=None, topology=None):
     """var=HF assignments; with a topology the values become names."""
     env = {}
@@ -54,7 +72,7 @@ def _parse_env(pairs, universe=None, topology=None):
         var = var.strip()
         if topology is not None:
             if val.strip().startswith("("):
-                env[var] = nm.parse_name(val)
+                env[var] = _parse_name(val, topology)
             else:
                 env[var] = nm.check_name(_parse_hf(val), topology)
         else:

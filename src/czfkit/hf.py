@@ -1,15 +1,21 @@
 """Canonical hereditarily finite sets.
 
 An HFSet is an immutable, deduplicated, canonically ordered finite set of
-HFSets.  Structural equality coincides with extensional equality, and the
-serialization defined here (``{a,b,...}`` with elements sorted bytewise by
-their own serializations) is the interchange format used by the CLI and the
-test fixtures.
+HFSets.  Sets are hash-consed: a module-level unique table maps each member
+set to its one live HFSet, so extensionally equal sets are the same object,
+and equality and hashing are object identity.  The table holds its values
+weakly; an entry goes when the last reference to its set does, and building
+the set again makes a fresh object.  The serialization defined here
+(``{a,b,...}`` with elements sorted bytewise by their own serializations) is
+the interchange format used by the CLI and the test fixtures.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Iterable, Iterator
 
 
@@ -17,22 +23,73 @@ class BudgetExceeded(Exception):
     """A configured size budget was exceeded."""
 
 
+class _Entry(weakref.ref):
+    """A weak reference to a set in the unique table, keyed by its members."""
+
+    __slots__ = ("key",)
+
+
+# frozenset of members -> entry for the one live HFSet with those members.
+_table: dict[frozenset, _Entry] = {}
+
+
+def _drop(entry: _Entry, table=_table, remove=_remove_dead_weakref) -> None:
+    # Called when the set dies.  The entry's key may since have been given
+    # a newer set; only a dead entry is removed.  The defaults bind early
+    # because sets still die while the interpreter clears module globals.
+    remove(table, entry.key)
+
+
+_serialization = operator.attrgetter("_repr")
+
+
 @functools.total_ordering
 class HFSet:
-    """A hereditarily finite set in canonical form."""
+    """A hereditarily finite set in canonical form.
 
-    __slots__ = ("_elems", "_repr", "_hash")
+    ``HFSet(elems)`` returns the existing set with these members when there
+    is one.  Equality and hashing are inherited from ``object``: identity.
+    """
 
-    def __init__(self, elems: Iterable["HFSet"] = ()):
-        uniq = {}
-        for e in elems:
+    __slots__ = ("_members", "_elems", "_repr", "__weakref__")
+
+    def __new__(cls, elems: Iterable["HFSet"] = ()):
+        members = frozenset(elems)
+        ref = _table.get(members)
+        if ref is not None:
+            s = ref()
+            if s is not None:
+                return s
+        for e in members:
             if not isinstance(e, HFSet):
                 raise TypeError(f"HFSet elements must be HFSets, got {e!r}")
-            uniq[e.serialize()] = e
-        ordered = sorted(uniq)
-        self._elems = tuple(uniq[k] for k in ordered)
-        self._repr = "{" + ",".join(ordered) + "}"
-        self._hash = hash(self._repr)
+        s = object.__new__(cls)
+        s._members = members
+        s._repr = None
+        entry = _Entry(s, _drop)
+        entry.key = members
+        # setdefault is atomic: of threads that miss on the same members at
+        # once, the first to insert wins and the others return its set.
+        while (old := _table.setdefault(members, entry)) is not entry:
+            if (live := old()) is not None:
+                return live
+            _remove_dead_weakref(_table, members)  # died, not yet dropped
+        return s
+
+    def __init__(self, elems: Iterable["HFSet"] = ()):
+        # Runs on every construction, after __new__ has consumed ``elems``;
+        # only the first call for a new set builds its canonical form, here
+        # rather than in __new__ so that a span around __init__ (as in
+        # perfbench's traced run) holds that cost.  Two threads may both
+        # build it; they store equal values.
+        if self._repr is None:
+            ordered = sorted(self._members, key=_serialization)
+            self._elems = tuple(ordered)
+            self._repr = "{" + ",".join(map(_serialization, ordered)) + "}"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the unique table.
+        return HFSet, (self._elems,)
 
     # -- canonical form ----------------------------------------------------
 
@@ -42,16 +99,10 @@ class HFSet:
     def __repr__(self) -> str:
         return self._repr
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HFSet) and self._repr == other._repr
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, HFSet):
             return NotImplemented
         return self._repr < other._repr
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- set protocol ------------------------------------------------------
 
@@ -62,7 +113,7 @@ class HFSet:
         return len(self._elems)
 
     def __contains__(self, x) -> bool:
-        return isinstance(x, HFSet) and any(e == x for e in self._elems)
+        return isinstance(x, HFSet) and x in self._members
 
     def __bool__(self) -> bool:
         return bool(self._elems)
@@ -71,7 +122,7 @@ class HFSet:
         return self._elems
 
     def is_subset(self, other: "HFSet") -> bool:
-        return all(e in other for e in self)
+        return self._members <= other._members
 
     # -- derived data ------------------------------------------------------
 
@@ -136,49 +187,47 @@ def _parse_hf_at(text: str, pos: int) -> tuple[HFSet, int]:
 
 
 def union(s: HFSet) -> HFSet:
-    return HFSet(x for e in s for x in e)
+    return HFSet(frozenset().union(*(e._members for e in s._elems)))
 
 
 def binary_union(a: HFSet, b: HFSet) -> HFSet:
-    return HFSet(list(a) + list(b))
+    return HFSet(a._members | b._members)
 
 
 def intersection(a: HFSet, b: HFSet) -> HFSet:
-    return HFSet(e for e in a if e in b)
+    return HFSet(a._members & b._members)
 
 
 def difference(a: HFSet, b: HFSet) -> HFSet:
-    return HFSet(e for e in a if e not in b)
+    return HFSet(a._members - b._members)
 
 
 def kpair(a: HFSet, b: HFSet) -> HFSet:
     """Kuratowski ordered pair {{a},{a,b}}."""
-    return hfset(hfset(a), hfset(a, b))
+    return HFSet((HFSet((a,)), HFSet((a, b))))
 
 
 def unpair(p: HFSet) -> tuple[HFSet, HFSet] | None:
     """Invert kpair; None if p is not an ordered pair."""
-    if len(p) == 1:
-        (inner,) = p
-        if len(inner) == 1:
-            (a,) = inner
+    if len(p._elems) == 1:
+        (inner,) = p._elems
+        if len(inner._elems) == 1:
+            (a,) = inner._elems
             return a, a
         return None
-    if len(p) == 2:
-        e1, e2 = p.elements()
-        if len(e1) == 1 and len(e2) == 2:
+    if len(p._elems) == 2:
+        e1, e2 = p._elems
+        if len(e1._elems) == 1 and len(e2._elems) == 2:
             single, double = e1, e2
-        elif len(e2) == 1 and len(e1) == 2:
+        elif len(e2._elems) == 1 and len(e1._elems) == 2:
             single, double = e2, e1
         else:
             return None
-        (a,) = single
-        if a not in double:
+        (a,) = single._elems
+        if a not in double._members:
             return None
-        rest = [x for x in double if x != a]
-        if len(rest) != 1:
-            return None
-        return a, rest[0]
+        x, y = double._elems
+        return a, (y if x is a else x)
     return None
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term, Var, free_vars, render, substitute,
+    Formula, Imp, Lit, Mem, Or, Term, Var, _fresh, class_ids, free_vars,
+    render, substitute,
 )
 
 
@@ -454,10 +455,13 @@ def _node_instances(s: Sequent, logic: Logic):
 
 def _matches_eigen(kind, f, g, d, premise: Sequent, logic: Logic) -> bool:
     """Quantifier instances need a witnessing term or eigenvariable; recover
-    it from the premise by trying every candidate."""
+    it from the premise by trying every candidate.  An eigenvariable must
+    not occur free in the conclusion: neither in the principal formula nor
+    in the side formulas."""
     candidates: list[Term] = list(_terms_in(premise))
     for v in range(1, 40):
         candidates.append(Var(f"v{v}"))
+    conclusion_vars = set().union(*map(free_vars, (f,) + g + d))
     seen = set()
     for t in candidates:
         key = render(substitute(f.body, f.var, t))
@@ -468,15 +472,14 @@ def _matches_eigen(kind, f, g, d, premise: Sequent, logic: Logic) -> bool:
         if kind == "ex":  # L-ex: fresh variable, principal removed
             if not isinstance(t, Var):
                 continue
-            if any(t.name in free_vars(h) for h in g + d):
+            if t.name in conclusion_vars:
                 continue
             if premise == Sequent.make(g + (body,), d):
                 return True
         elif kind == "all":  # R-all: fresh variable
             if not isinstance(t, Var):
                 continue
-            conclusion_rest = g + d
-            if any(t.name in free_vars(h) for h in conclusion_rest):
+            if t.name in conclusion_vars:
                 continue
             if logic is Logic.CLASSICAL:
                 if premise == Sequent.make(g, d + (body,)):
@@ -584,15 +587,24 @@ def _replace_class(f: Formula, cls: str, var: str, body: Formula) -> Formula:
         case BigOr(parts):
             return BigOr(tuple(_replace_class(p, cls, var, body)
                                for p in parts))
-        case BoundedAll(v, b, bd):
-            return BoundedAll(v, b, _replace_class(bd, cls, var, body))
-        case BoundedEx(v, b, bd):
-            return BoundedEx(v, b, _replace_class(bd, cls, var, body))
-        case All(v, bd):
-            return All(v, _replace_class(bd, cls, var, body))
-        case Ex(v, bd):
-            return Ex(v, _replace_class(bd, cls, var, body))
+        case BoundedAll(v, b, bd) | BoundedEx(v, b, bd):
+            v, bd = _avoid_capture(v, bd, cls, var, body)
+            return type(f)(v, b, _replace_class(bd, cls, var, body))
+        case All(v, bd) | Ex(v, bd):
+            v, bd = _avoid_capture(v, bd, cls, var, body)
+            return type(f)(v, _replace_class(bd, cls, var, body))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _avoid_capture(v: str, bd: Formula, cls: str, var: str,
+                   body: Formula) -> tuple[str, Formula]:
+    """Renames the binder v of scope bd when it would capture a parameter
+    of the class body that replaces the atoms of cls inside bd."""
+    params = free_vars(body) - {var}
+    if v not in params or cls not in class_ids(bd):
+        return v, bd
+    nv = _fresh(v, params | free_vars(bd) | {var})
+    return nv, substitute(bd, v, Var(nv))
 
 
 def eliminate_classes(axioms: list[Formula],
@@ -604,7 +616,6 @@ def eliminate_classes(axioms: list[Formula],
     definition are replaced by the always-true condition x = x.  Bodies
     that mention a class symbol themselves are rejected.
     """
-    from .formula import class_ids
     defs: dict[str, tuple[str, Formula]] = {}
     for a in axioms:
         shape = _comprehension_shape(a)

@@ -158,6 +158,16 @@ def test_interpret(capsys, omega_path, chain_path):
     assert out_of(capsys) == "{a,b}\n"
 
 
+@pytest.mark.parametrize("name", ["(", "(()->{0}", "(()->0)", "(()->{zz})"])
+def test_interpret_rejects_bad_names(capsys, omega_path, name):
+    assert run(["interpret", "x = x", "--topology", omega_path,
+                "--env", f"x={name}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad name:")
+    assert captured.err.count("\n") == 1
+
+
 def test_witness_collection(capsys, omega_path):
     assert run(["witness-collection", "--topology", omega_path,
                 "--depth", "2",

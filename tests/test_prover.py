@@ -142,7 +142,9 @@ def test_check_derivation_accepts_prover_output():
     for text in ["x = x -> x = x",
                  "~~(x = x | ~(x = x))",
                  "(all x. x in a) -> {} in a",
-                 "x = x & y = y -> y = y | z = z"]:
+                 "x = x & y = y -> y = y | z = z",
+                 "all y. (y in x -> y in x)",
+                 "(ex y. y in x) -> ex y. y in x"]:
         r = prove_formula(parse(text), INT)
         report = check_derivation(r.derivation, INT)
         assert report.ok, report.reason
@@ -159,6 +161,29 @@ def test_check_derivation_rejects_tampering():
     report = check_derivation(bogus, INT)
     assert not report.ok
     assert report.invalid is not None
+
+
+def _sequent(left, right):
+    return Sequent.make([parse(t) for t in left], [parse(t) for t in right])
+
+
+@pytest.mark.parametrize("logic", [INT, CL])
+def test_check_derivation_rejects_eigenvariable_free_in_principal(logic):
+    """x is free in the principal formula, so it cannot be the eigenvariable
+    of the R-all or L-ex step, though it is fresh for the side formulas."""
+    steps = [
+        ("R-all", _sequent([], ["x in x -> x in x"]),
+         _sequent([], ["all y. (x in x -> y in x)"])),
+        ("L-ex", _sequent(["(x in x -> c in c) & x in x"], ["c in c"]),
+         _sequent(["ex y. (x in y -> c in c) & y in x"], ["c in c"])),
+    ]
+    for rule, premise, conclusion in steps:
+        below = prove(premise, logic)
+        assert below.outcome is Outcome.PROVED
+        bogus = Derivation(rule, conclusion, (below.derivation,))
+        report = check_derivation(bogus, logic)
+        assert not report.ok
+        assert report.invalid == conclusion
 
 
 def test_check_derivation_cut():
@@ -186,6 +211,14 @@ def test_eliminate_classes_defined():
     axioms, g = eliminate_classes([comp], goal)
     assert g == parse("x in a -> x in a")
     assert prove_formula(g, INT).outcome is Outcome.PROVED
+
+
+def test_eliminate_classes_renames_capturing_binder():
+    comp = parse("all v. (v in M -> v in a) & (v in a -> v in M)")
+    _, g = eliminate_classes([comp], parse("all a. x in M"))
+    assert g == parse("all a'. x in a")
+    _, g = eliminate_classes([comp], parse("ex a in x. a in M"))
+    assert g == parse("ex a' in x. a' in a")
 
 
 def test_eliminate_classes_undefined_symbol():

@@ -44,8 +44,32 @@ def _read_topology(path: str):
         raise _InputError(f"bad topology file: {e}") from None
 
 
+# The deepest name accepted: the recursive names.Interpreter evaluates
+# equality and membership of names this deep under the default recursion
+# limit (about 240 levels when run from the command line).
+MAX_NAME_DEPTH = 200
+
+
+def _name_depth(text: str) -> int:
+    """The depth of the name written in text, from its parentheses."""
+    level = deepest = 0
+    for ch in text:
+        if ch == "(":
+            level += 1
+            deepest = max(deepest, level)
+        elif ch == ")":
+            level -= 1
+    return deepest - 1
+
+
 def _parse_name(text: str, t):
-    """A name whose every value is a frame element of t."""
+    """A name of at most MAX_NAME_DEPTH levels whose every value is a frame
+    element of t."""
+    # Measured on the text, before parsing: every name stores its
+    # serialization, so building a chain n names deep takes O(n^2) memory.
+    if _name_depth(text) > MAX_NAME_DEPTH:
+        raise _InputError(
+            f"bad name: nested deeper than {MAX_NAME_DEPTH} levels")
     try:
         name = nm.parse_name(text)
     except ValueError as e:
@@ -319,22 +343,25 @@ def _cmd(args) -> int:
     if args.command == "witness-collection":
         t = _read_topology(args.topology)
         u = nm.name_universe(t, args.depth)
+        a = _parse_name(args.a, t)
+        r = _parse_name(args.r, t)
         try:
-            a = nm.parse_name(args.a)
-            r = nm.parse_name(args.r)
             p = tp.parse_frame_element(args.p)
+        except tp.TopologyError as e:
+            raise _InputError(str(e)) from None
+        if p not in tp.frame_elements(t):
+            raise _InputError(f"--p {tp.render_frame_element(p)} is not a "
+                              "frame element of the topology")
+        try:
             b = nm.strong_collection_witness(a, r, p, u)
-        except (ValueError, tp.TopologyError) as e:
+        except ValueError as e:
             raise _InputError(str(e)) from None
         out.write(nm.serialize_name(b) + "\n")
         return 0
     if args.command == "powerset-name":
         t = _read_topology(args.topology)
         u = nm.name_universe(t, args.depth)
-        try:
-            a = nm.parse_name(args.name)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
+        a = _parse_name(args.name, t)
         out.write(nm.serialize_name(nm.powerset_name(a, u)) + "\n")
         return 0
     if args.command == "translate":

@@ -14,31 +14,17 @@ from __future__ import annotations
 
 import functools
 import operator
-import weakref
-from _weakref import _remove_dead_weakref
 from typing import Iterable, Iterator
+
+from . import unique
 
 
 class BudgetExceeded(Exception):
     """A configured size budget was exceeded."""
 
 
-class _Entry(weakref.ref):
-    """A weak reference to a set in the unique table, keyed by its members."""
-
-    __slots__ = ("key",)
-
-
 # frozenset of members -> entry for the one live HFSet with those members.
-_table: dict[frozenset, _Entry] = {}
-
-
-def _drop(entry: _Entry, table=_table, remove=_remove_dead_weakref) -> None:
-    # Called when the set dies.  The entry's key may since have been given
-    # a newer set; only a dead entry is removed.  The defaults bind early
-    # because sets still die while the interpreter clears module globals.
-    remove(table, entry.key)
-
+_table, _drop = unique.new_table()
 
 _serialization = operator.attrgetter("_repr")
 
@@ -66,15 +52,7 @@ class HFSet:
         s = object.__new__(cls)
         s._members = members
         s._repr = None
-        entry = _Entry(s, _drop)
-        entry.key = members
-        # setdefault is atomic: of threads that miss on the same members at
-        # once, the first to insert wins and the others return its set.
-        while (old := _table.setdefault(members, entry)) is not entry:
-            if (live := old()) is not None:
-                return live
-            _remove_dead_weakref(_table, members)  # died, not yet dropped
-        return s
+        return unique.insert(_table, _drop, members, s)
 
     def __init__(self, elems: Iterable["HFSet"] = ()):
         # Runs on every construction, after __new__ has consumed ``elems``;

@@ -2,9 +2,13 @@
 interpretation of set-theoretic formulas.
 
 A name is a finite function from previously built names to frame elements;
-the value records how strongly the key is a member.  Interpretation follows
-the usual recursion: equality unfolds to mutual inclusion weighted by
-membership degrees, membership to a weighted join over the candidate's
+the value records how strongly the key is a member.  Names are hash-consed
+like ``HFSet``: a module-level unique table maps each entries tuple to its
+one live ``Name``, so equal names are the same object, and equality and
+hashing are object identity.  A name stores its serialization, built once
+when the name is new from its keys' stored serializations.  Interpretation
+follows the usual recursion: equality unfolds to mutual inclusion weighted
+by membership degrees, membership to a weighted join over the candidate's
 entries, and quantifiers range over a finite universe of names built up to
 a fixed depth.
 """
@@ -14,25 +18,67 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import topology as tp
+from . import topology as tp, unique
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
     Formula, Imp, Lit, Mem, Or, Term, Var,
 )
-from .hf import BudgetExceeded, HFSet
+from .hf import BudgetExceeded, HFSet, _skip_ws
 from .topology import FormalTopology, FrameElement
 
 
-@dataclass(frozen=True)
+# entries tuple -> entry for the one live Name with those entries.
+_table, _drop = unique.new_table()
+
+
 class Name:
-    entries: tuple[tuple["Name", FrameElement], ...]
+    """A name: a tuple of (key name, frame element) entries.
+
+    ``Name(entries)`` returns the existing name with these entries when
+    there is one.  Equality and hashing are inherited from ``object``:
+    identity.  ``make_name`` puts entries in canonical form (one per key,
+    sorted by the keys' serializations); ``Name`` keeps the order given.
+    """
+
+    __slots__ = ("entries", "_repr", "__weakref__")
+
+    def __new__(cls, entries=()):
+        entries = tuple(entries)
+        ref = _table.get(entries)
+        if ref is not None:
+            n = ref()
+            if n is not None:
+                return n
+        for x, _ in entries:
+            if not isinstance(x, Name):
+                raise TypeError(f"Name keys must be Names, got {x!r}")
+        n = object.__new__(cls)
+        set_slot = object.__setattr__
+        set_slot(n, "entries", entries)
+        set_slot(n, "_repr", "(" + ",".join(
+            [f"{x._repr}->{tp.render_frame_element(p)}" for x, p in entries])
+            + ")")
+        return unique.insert(_table, _drop, entries, n)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Name is immutable; cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"Name is immutable; cannot delete {attr}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the unique table.
+        return Name, (self.entries,)
+
+    def __repr__(self) -> str:
+        return f"Name{self._repr}"
 
     def keys(self):
         return [x for x, _ in self.entries]
 
     def value(self, key: "Name") -> FrameElement:
         for x, p in self.entries:
-            if x == key:
+            if x is key:
                 return p
         return frozenset()
 
@@ -43,21 +89,24 @@ class Name:
 
 
 def serialize_name(n: Name) -> str:
-    parts = [f"{serialize_name(x)}->{tp.render_frame_element(p)}"
-             for x, p in n.entries]
-    return "(" + ",".join(parts) + ")"
+    return n._repr
+
+
+def _key_serialization(entry: tuple[Name, FrameElement]) -> str:
+    return entry[0]._repr
 
 
 def make_name(entries) -> Name:
     """Builds a name with sorted, functional entries.  Identical duplicate
     entries collapse; conflicting values for one key are an error."""
-    seen: dict[str, tuple[Name, FrameElement]] = {}
+    seen: dict[Name, FrameElement] = {}
     for x, p in entries:
-        key = serialize_name(x)
-        if key in seen and seen[key][1] != p:
-            raise ValueError(f"conflicting values for entry {key}")
-        seen[key] = (x, frozenset(p))
-    return Name(tuple(v for _, v in sorted(seen.items())))
+        if not isinstance(x, Name):
+            raise TypeError(f"Name keys must be Names, got {x!r}")
+        p = frozenset(p)
+        if seen.setdefault(x, p) != p:
+            raise ValueError(f"conflicting values for entry {x._repr}")
+    return Name(sorted(seen.items(), key=_key_serialization))
 
 
 EMPTY_NAME = Name(())
@@ -337,40 +386,44 @@ def subset_value(it: Interpreter, c: Name, a: Name) -> FrameElement:
 
 
 def parse_name(text: str) -> Name:
-    name, pos = _parse_name_at(text, 0)
-    if text[pos:].strip():
-        raise ValueError(f"trailing input after name: {text[pos:]!r}")
-    return name
-
-
-def _parse_name_at(text: str, pos: int) -> tuple[Name, int]:
-    def skip(i):
-        while i < len(text) and text[i].isspace():
-            i += 1
-        return i
-
-    pos = skip(pos)
-    if pos >= len(text) or text[pos] != "(":
-        raise ValueError(f"expected '(' at position {pos}")
-    pos = skip(pos + 1)
-    entries = []
-    if pos < len(text) and text[pos] == ")":
-        return make_name(entries), pos + 1
+    """Parses a serialized name.  The parser keeps the open names on an
+    explicit stack, so nesting depth is not limited by recursion."""
+    end = len(text)
+    pos = _skip_ws(text, 0)
+    # entries read so far of each name opened and not yet closed
+    open_names: list[list[tuple[Name, FrameElement]]] = []
     while True:
-        key, pos = _parse_name_at(text, pos)
-        pos = skip(pos)
-        if text[pos:pos + 2] != "->":
-            raise ValueError(f"expected '->' at position {pos}")
-        pos = skip(pos + 2)
-        if pos >= len(text) or text[pos] != "{":
-            raise ValueError(f"expected frame element at position {pos}")
-        end = text.index("}", pos)
-        val = tp.parse_frame_element(text[pos:end + 1])
-        entries.append((key, val))
-        pos = skip(end + 1)
-        if pos < len(text) and text[pos] == ",":
-            pos = skip(pos + 1)
+        if pos >= end or text[pos] != "(":
+            raise ValueError(f"expected '(' at position {pos}")
+        pos = _skip_ws(text, pos + 1)
+        if pos >= end or text[pos] != ")":
+            open_names.append([])  # its first key starts here
             continue
-        if pos < len(text) and text[pos] == ")":
-            return make_name(entries), pos + 1
-        raise ValueError(f"expected ',' or ')' at position {pos}")
+        name = EMPTY_NAME
+        pos += 1
+        # ``name`` has just closed: it is the whole input, or the key of an
+        # entry of the innermost open name.
+        while open_names:
+            pos = _skip_ws(text, pos)
+            if text[pos:pos + 2] != "->":
+                raise ValueError(f"expected '->' at position {pos}")
+            pos = _skip_ws(text, pos + 2)
+            if pos >= end or text[pos] != "{":
+                raise ValueError(f"expected frame element at position {pos}")
+            close = text.index("}", pos)
+            open_names[-1].append(
+                (name, tp.parse_frame_element(text[pos:close + 1])))
+            pos = _skip_ws(text, close + 1)
+            if pos < end and text[pos] == ",":
+                pos = _skip_ws(text, pos + 1)
+                break  # the next key starts here
+            if pos < end and text[pos] == ")":
+                name = make_name(open_names.pop())
+                pos += 1
+                continue
+            raise ValueError(f"expected ',' or ')' at position {pos}")
+        else:
+            if text[pos:].strip():
+                raise ValueError(f"trailing input after name: {text[pos:]!r}")
+            return name
+

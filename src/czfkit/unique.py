@@ -1,0 +1,50 @@
+"""Weak unique tables for hash-consing.
+
+A unique table maps the canonical key of a value to a weak reference to the
+one live object with that key, so that equal values are one object (after
+Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  ``HFSet`` and
+``Name`` each keep one.  A class looks its key up inline in ``__new__``
+(``table.get(key)``, then calls the reference) and, on a miss, builds the
+object and hands it to ``insert``.  An entry goes when the last reference to
+its value does; building the value again makes a fresh object.
+"""
+
+from __future__ import annotations
+
+import weakref
+from _weakref import _remove_dead_weakref
+from typing import Callable
+
+
+class Entry(weakref.ref):
+    """A weak reference to a value in a unique table, carrying its key."""
+
+    __slots__ = ("key",)
+
+
+def new_table() -> tuple[dict, Callable[[Entry], None]]:
+    """An empty unique table and the callback that removes its dead entries."""
+    table: dict = {}
+
+    def drop(entry: Entry, remove=_remove_dead_weakref) -> None:
+        # Called when the value dies.  The entry's key may since have been
+        # given a newer value; only a dead entry is removed.  ``table`` and
+        # ``remove`` are bound here, not read as globals, because values
+        # still die while the interpreter clears module globals.
+        remove(table, entry.key)
+
+    return table, drop
+
+
+def insert(table: dict, drop: Callable[[Entry], None], key, value):
+    """Enters a value that missed in the table; returns the value the table
+    holds for its key afterwards."""
+    entry = Entry(value, drop)
+    entry.key = key
+    # setdefault is atomic: of threads that miss on the same key at once,
+    # the first to insert wins and the others return its value.
+    while (old := table.setdefault(key, entry)) is not entry:
+        if (live := old()) is not None:
+            return live
+        _remove_dead_weakref(table, key)  # died, not yet dropped
+    return value

@@ -1,6 +1,6 @@
 import pytest
 
-from czfkit.cli import run
+from czfkit.cli import MAX_NAME_DEPTH, run
 
 
 CHAIN_TOP = """\
@@ -158,7 +158,17 @@ def test_interpret(capsys, omega_path, chain_path):
     assert out_of(capsys) == "{a,b}\n"
 
 
-@pytest.mark.parametrize("name", ["(", "(()->{0}", "(()->0)", "(()->{zz})"])
+def chain(depth):
+    """The name ((...(()->{0})...)->{0}), ``depth`` levels deep."""
+    return "(" * depth + "()" + "->{0})" * depth
+
+
+BAD_NAMES = ["(", "(()->{0}", "(()->0)", "(()->{zz})",
+             pytest.param(chain(MAX_NAME_DEPTH + 1), id="too-deep"),
+             pytest.param(chain(3000), id="3000-deep")]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
 def test_interpret_rejects_bad_names(capsys, omega_path, name):
     assert run(["interpret", "x = x", "--topology", omega_path,
                 "--env", f"x={name}"]) == 2
@@ -166,6 +176,38 @@ def test_interpret_rejects_bad_names(capsys, omega_path, name):
     assert captured.out == ""
     assert captured.err.startswith("error: bad name:")
     assert captured.err.count("\n") == 1
+
+
+NAME_OPTIONS = {
+    "--a": ["witness-collection", "--r", "()", "--p", "{0}"],
+    "--r": ["witness-collection", "--a", "()", "--p", "{0}"],
+    "--name": ["powerset-name"],
+}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("option", NAME_OPTIONS)
+def test_name_options_reject_bad_names(capsys, omega_path, option, name):
+    assert run(NAME_OPTIONS[option]
+               + ["--topology", omega_path, option, name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad name:")
+    assert captured.err.count("\n") == 1
+
+
+def test_names_at_the_depth_limit_are_evaluated(capsys, omega_path):
+    deep = chain(MAX_NAME_DEPTH)
+    assert run(["interpret", "x = y & z in x", "--topology", omega_path,
+                "--env", f"x={deep}", "--env", f"y={deep}",
+                "--env", f"z={chain(MAX_NAME_DEPTH - 1)}"]) == 0
+    assert out_of(capsys) == "{0}\n"
+    assert run(["witness-collection", "--topology", omega_path,
+                "--a", deep, "--r", deep, "--p", "{}"]) == 0
+    assert out_of(capsys) == "()\n"
+    assert run(["powerset-name", "--topology", omega_path,
+                "--name", deep]) == 0
+    assert out_of(capsys) == f"({deep}->{{0}},()->{{0}})\n"
 
 
 def test_witness_collection(capsys, omega_path):
@@ -180,6 +222,14 @@ def test_witness_collection(capsys, omega_path):
     assert run(["witness-collection", "--topology", omega_path,
                 "--depth", "1", "--a", "(()->{0})", "--r", "()",
                 "--p", "{0}"]) == 2
+    capsys.readouterr()
+    # p must be a frame element of the topology
+    assert run(["witness-collection", "--topology", omega_path,
+                "--a", "(()->{0})", "--r", "()", "--p", "{1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a frame element" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_powerset_name(capsys, omega_path):

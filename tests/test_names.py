@@ -1,8 +1,12 @@
+import copy
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 
-from czfkit import hf, topology as tp
+from czfkit import hf, names, topology as tp
 from czfkit.formula import parse
 from czfkit.hf import EMPTY, hfset
 from czfkit.names import (
@@ -238,3 +242,148 @@ def test_parse_serialize_round_trip():
         parse_name("()->{}")
     with pytest.raises(ValueError):
         parse_name("(() {0})")
+
+
+# -- the unique table ----------------------------------------------------------
+
+
+ANTICHAIN = from_poset(["a", "b"], [])
+
+
+def test_equal_names_are_one_object():
+    xs = [(n, p) for n, p in zip(u_omega(1).names, [TOP, BOT, TOP])]
+    assert make_name(xs) is make_name(reversed(xs))
+    assert make_name(xs + xs) is make_name(xs)
+    assert Name(make_name(xs).entries) is make_name(xs)
+    n = op(EMPTY_NAME, check_name(ONE, OMEGA), OMEGA)
+    assert parse_name(serialize_name(n)) is n
+    assert n.value(up(EMPTY_NAME, EMPTY_NAME, OMEGA)) == TOP
+    assert n.value(EMPTY_NAME) == frozenset()
+
+
+def test_copy_and_pickle_return_the_same_name():
+    n = powerset_name(check_name(ONE, OMEGA), u_omega(2))
+    for dup in (copy.copy, copy.deepcopy,
+                lambda x: pickle.loads(pickle.dumps(x))):
+        assert dup(n) is n
+        assert dup(EMPTY_NAME) is EMPTY_NAME
+    assert EMPTY_NAME is Name(()) is make_name([])
+    assert serialize_name(EMPTY_NAME) == "()"
+    assert EMPTY_NAME.entries == ()
+
+
+def test_names_are_immutable():
+    n = check_name(ONE, OMEGA)
+    with pytest.raises(AttributeError):
+        n.entries = ()
+    assert n.entries == ((EMPTY_NAME, TOP),)
+
+
+def test_non_name_keys_are_rejected():
+    for key in ["()", EMPTY, ()]:
+        with pytest.raises(TypeError):
+            Name([(key, TOP)])
+        with pytest.raises(TypeError):
+            make_name([(EMPTY_NAME, TOP), (key, TOP)])
+
+
+def test_conflicting_entries_are_rejected():
+    a, b = EMPTY_NAME, check_name(ONE, OMEGA)
+    with pytest.raises(ValueError):
+        make_name([(a, TOP), (b, TOP), (a, BOT)])
+    assert make_name([(a, {"0"}), (b, TOP), (a, TOP)]) is \
+        make_name([(b, TOP), (a, TOP)])
+
+
+def _serialize_reference(n: Name) -> str:
+    """The recursive serialization that names stored before interning."""
+    parts = [f"{_serialize_reference(x)}->{tp.render_frame_element(p)}"
+             for x, p in n.entries]
+    return "(" + ",".join(parts) + ")"
+
+
+def _make_name_reference(entries) -> Name:
+    """make_name as it was before interning: dedup by serialized key."""
+    seen: dict[str, tuple[Name, frozenset]] = {}
+    for x, p in entries:
+        key = _serialize_reference(x)
+        if key in seen and seen[key][1] != p:
+            raise ValueError(f"conflicting values for entry {key}")
+        seen[key] = (x, frozenset(p))
+    return Name(tuple(v for _, v in sorted(seen.items())))
+
+
+@pytest.mark.parametrize("t, size", [(CHAIN, 256), (ANTICHAIN, 3125)],
+                         ids=["chain", "antichain"])
+def test_serialization_matches_reference(t, size):
+    u = name_universe(t, 2)
+    assert len(u.names) == size
+    for n in u.names:
+        text = serialize_name(n)
+        assert text == _serialize_reference(n)
+        assert parse_name(text) is n
+        assert _make_name_reference(reversed(n.entries)) is n
+        assert make_name(reversed(n.entries)) is n
+    assert [serialize_name(n) for n in u.names] == \
+        sorted(_serialize_reference(n) for n in u.names)
+
+
+def test_threads_share_one_name_per_value():
+    """Threads that build the same new names at once, and drop them, still
+    get one object per value: every name a thread holds is the one in the
+    table."""
+    base = list(u_omega(1).names)
+    weights = frame_elements(OMEGA)
+    threads_n, rounds = 8, 100
+    results: list = [None] * threads_n
+    errors: list = []
+    step = threading.Barrier(threads_n)
+
+    def fresh(r):
+        # names no earlier round built: one chain per binary numeral
+        out = []
+        for k in range(8):
+            n = EMPTY_NAME
+            for d in f"{r * 8 + k:b}":
+                n = make_name([(n, weights[int(d)]), (base[0], TOP)])
+            out.append(n)
+        return out
+
+    def work(i):
+        try:
+            for r in range(rounds):
+                step.wait(timeout=10)
+                built = fresh(r) + [op(x, y, OMEGA) for x in base
+                                    for y in base]
+                lost = [n for n in built
+                        if names._table[n.entries]() is not n]
+                if lost:
+                    errors.append(f"round {r}: {lost[0]} is not in the table")
+                    step.abort()
+                    return
+            results[i] = built
+        except threading.BrokenBarrierError:
+            pass  # another thread failed and said why
+        except Exception as e:
+            errors.append(repr(e))
+            step.abort()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    first = results[0]
+    assert [serialize_name(n) for n in first] == \
+        [_serialize_reference(n) for n in fresh(rounds - 1)] \
+        + [_serialize_reference(op(x, y, OMEGA)) for x in base for y in base]
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))

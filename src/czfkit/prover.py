@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -320,14 +321,17 @@ class _Search:
 
 def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
           budget: int = 20000, allow_cut: bool = False) -> ProveResult:
-    """Backward search from the endsequent."""
-    import sys
-    if sys.getrecursionlimit() < 10000:
-        sys.setrecursionlimit(10000)
-    s = Sequent.make([desugar(f) for f in s.left],
-                     [desugar(f) for f in s.right])
-    search = _Search(logic, budget, allow_cut)
-    d = search.prove(s, frozenset())
+    """Backward search from the endsequent.  The search recurses once per
+    rule applied, so the recursion limit is raised for its duration only."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    try:
+        s = Sequent.make([desugar(f) for f in s.left],
+                         [desugar(f) for f in s.right])
+        search = _Search(logic, budget, allow_cut)
+        d = search.prove(s, frozenset())
+    finally:
+        sys.setrecursionlimit(limit)
     if d is not None:
         return ProveResult(Outcome.PROVED, d, search.expanded)
     if search.hit_budget:

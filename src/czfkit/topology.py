@@ -6,6 +6,13 @@ whether a is covered by p.  The frame of the topology consists of the
 stable lower subsets; meets are intersections, joins are saturations of
 unions, and Heyting implication is computed by joining the principal
 saturations that land under the right-hand side.
+
+Each topology carries frame tables built once, at construction, from its
+cover: the saturation of every subset of the carrier, ``top`` and
+``bottom``, the principal generators and the list of frame elements.  The
+cover is read only then, so editing the dict afterwards changes nothing;
+build a new topology from an edited copy instead.  Heyting implication is
+memoized per topology, filled as pairs are asked for.
 """
 
 from __future__ import annotations
@@ -43,6 +50,25 @@ class FormalTopology:
         for (a, p) in self.cover:
             if a not in self.carrier or not p <= set(self.carrier):
                 raise TopologyError("cover row off the carrier")
+        # Frame tables: not fields, so equality, hashing and repr are
+        # unchanged.  A subset off the carrier has no cover row, so its
+        # saturation is empty, as a missing row reads False.
+        nuclei = {p: frozenset(a for a in self.carrier if self.covers(a, p))
+                  for p in self.subsets()}
+        frame = sorted((p for p in nuclei
+                        if self.down(p) == p and nuclei[p] == p),
+                       key=lambda p: (len(p), sorted(p)))
+        tables = {
+            "_nuclei": nuclei,
+            "_top": nuclei[frozenset(self.carrier)],
+            "_bottom": nuclei[frozenset()],
+            "_generators": tuple(nuclei[frozenset([s])]
+                                 for s in self.carrier),
+            "_frame": frame,
+            "_implications": {},
+        }
+        for attr, value in tables.items():
+            object.__setattr__(self, attr, value)
 
     def below(self, a: str, b: str) -> bool:
         return (a, b) in self.order
@@ -98,25 +124,20 @@ def validate(t: FormalTopology) -> list[Violation]:
 
 def nucleus(t: FormalTopology, p) -> FrameElement:
     """The saturation of p: all tokens covered by p."""
-    p = frozenset(p)
-    return frozenset(a for a in t.carrier if t.covers(a, p))
+    return t._nuclei.get(frozenset(p), frozenset())
 
 
 def frame_elements(t: FormalTopology) -> list[FrameElement]:
     """All stable lower subsets, in a fixed order."""
-    out = []
-    for p in t.subsets():
-        if t.down(p) == p and nucleus(t, p) == p:
-            out.append(p)
-    return sorted(out, key=lambda p: (len(p), sorted(p)))
+    return list(t._frame)
 
 
 def top(t: FormalTopology) -> FrameElement:
-    return nucleus(t, frozenset(t.carrier))
+    return t._top
 
 
 def bottom(t: FormalTopology) -> FrameElement:
-    return nucleus(t, frozenset())
+    return t._bottom
 
 
 def meet(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
@@ -127,14 +148,14 @@ def join(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
     return nucleus(t, p | q)
 
 
-def _generators(t: FormalTopology) -> list[FrameElement]:
-    return [nucleus(t, frozenset([s])) for s in t.carrier]
-
-
 def implies(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
     """Largest r with r meet p below q, joined from principal generators."""
-    useful = [g for g in _generators(t) if g & p <= q]
-    return big_join(t, useful)
+    memo = t._implications
+    r = memo.get((p, q))
+    if r is None:
+        r = memo[(p, q)] = big_join(
+            t, [g for g in t._generators if g & p <= q])
+    return r
 
 
 def big_meet(t: FormalTopology, ps) -> FrameElement:

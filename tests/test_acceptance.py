@@ -28,13 +28,10 @@ OMEGA = tp.omega()
 CHAIN = tp.from_poset(["a", "b"], [("a", "b")])
 
 
-def _report(num, label, ok):
-    print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
-
-
 def _finish(num, label, ok, started, limit):
     elapsed = time.monotonic() - started
-    _report(num, label, ok)
+    print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'} "
+          f"({elapsed:.1f} s)")
     assert ok
     assert elapsed < limit, f"criterion {num} took {elapsed:.1f}s"
 

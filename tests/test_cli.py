@@ -178,6 +178,28 @@ def test_interpret_rejects_bad_names(capsys, omega_path, name):
     assert captured.err.count("\n") == 1
 
 
+DEEP_HF = "{" * 3000 + "}" * 3000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["parse", "~" * 3000 + "x = x"], "formula syntax error: nested too deeply"),
+    (["hf-eval", "F_p", DEEP_HF, "{}"], "bad hf literal: nested too deeply"),
+], ids=["formula-3000-deep", "hf-eval-3000-deep"])
+def test_deep_input_exits_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_interpret_rejects_deep_hf_literal(capsys, omega_path):
+    assert run(["interpret", "x = x", "--topology", omega_path,
+                "--env", f"x={DEEP_HF}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad hf literal: nested too deeply\n"
+
+
 NAME_OPTIONS = {
     "--a": ["witness-collection", "--r", "()", "--p", "{0}"],
     "--r": ["witness-collection", "--a", "()", "--p", "{0}"],

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_budget_exceeded_is_distinct():
     # whereas an honest search failure reports not provable
     r2 = prove_formula(parse("x = x | ~(x = x)"), INT)
     assert r2.outcome is Outcome.NOT_PROVABLE
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("x = x -> x = x", Outcome.PROVED),
+    ("x = x | ~(x = x)", Outcome.NOT_PROVABLE),
+], ids=["proved", "refuted"])
+def test_prove_restores_recursion_limit(text, outcome):
+    saved = sys.getrecursionlimit()
+    # below the 10000 that prove asks for, so a raise left in place shows
+    sys.setrecursionlimit(1500)
+    try:
+        assert prove_formula(parse(text), INT).outcome is outcome
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_derivation_render():

@@ -79,8 +79,7 @@ def test_implies_examples():
 
 
 def test_adjunction_on_small_frames():
-    for t in [omega(), chain2(), antichain2(),
-              from_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])]:
+    for t in reference_topologies():
         frame = frame_elements(t)
         for p, q, r in itertools.product(frame, repeat=3):
             lhs = leq(t, r, implies(t, p, q))
@@ -148,3 +147,125 @@ def test_frame_element_text():
     assert parse_frame_element("{}") == frozenset()
     with pytest.raises(TopologyError):
         parse_frame_element("a,b")
+
+
+# -- the frame tables against the definitions ------------------------------
+
+
+def ref_nucleus(t, p):
+    """The saturation of p by scanning the cover: all tokens covered by p."""
+    p = frozenset(p)
+    return frozenset(a for a in t.carrier if t.covers(a, p))
+
+
+def ref_frame_elements(t):
+    out = [p for p in t.subsets()
+           if t.down(p) == p and ref_nucleus(t, p) == p]
+    return sorted(out, key=lambda p: (len(p), sorted(p)))
+
+
+def ref_implies(t, p, q):
+    """The join of the principal saturations whose meet with p is below q."""
+    acc = frozenset()
+    for s in t.carrier:
+        g = ref_nucleus(t, frozenset([s]))
+        if g & p <= q:
+            acc |= g
+    return ref_nucleus(t, acc)
+
+
+def posets_up_to_3():
+    """Every poset topology on at most 3 labeled points, once each."""
+    seen = set()
+    for n in range(1, 4):
+        elems = ["a", "b", "c"][:n]
+        strict = [(x, y) for x in elems for y in elems if x != y]
+        for k in range(len(strict) + 1):
+            for pairs in itertools.combinations(strict, k):
+                try:
+                    t = from_poset(elems, pairs)
+                except TopologyError:
+                    continue
+                if (t.carrier, t.order) not in seen:
+                    seen.add((t.carrier, t.order))
+                    yield t
+
+
+# b is covered by {a} although b is not below a: the dense cover on the
+# 2-chain, whose frame is the two-element Boolean algebra.
+DENSE_CHAIN = """\
+carrier: a b
+order: a<=b
+cover: a <| {a}
+cover: a <| {b}
+cover: a <| {a,b}
+cover: b <| {a}
+cover: b <| {b}
+cover: b <| {a,b}
+"""
+
+
+def reference_topologies():
+    yield omega()
+    yield from posets_up_to_3()
+    yield parse_topology(DENSE_CHAIN)
+
+
+def test_dense_chain_is_not_a_poset_topology():
+    t = parse_topology(DENSE_CHAIN)
+    assert validate(t) == []
+    assert nucleus(t, frozenset(["a"])) != t.down(frozenset(["a"]))
+    assert frame_elements(t) == [frozenset(), frozenset(["a", "b"])]
+
+
+def assert_tables_match_definitions(t):
+    for p in t.subsets():
+        assert nucleus(t, p) == ref_nucleus(t, p), (t.carrier, p)
+    assert top(t) == ref_nucleus(t, t.carrier)
+    assert bottom(t) == ref_nucleus(t, ())
+    frame = ref_frame_elements(t)
+    assert frame_elements(t) == frame
+    for p, q in itertools.product(frame, repeat=2):
+        expected = ref_implies(t, p, q)
+        assert implies(t, p, q) == expected, (t.carrier, p, q)
+        assert implies(t, p, q) == expected  # again, from the memo
+
+
+def test_tables_match_definitions():
+    count = 0
+    for t in reference_topologies():
+        assert_tables_match_definitions(t)
+        count += 1
+    # omega, the 1 + 3 + 19 labeled posets on at most 3 points, the dense chain
+    assert count == 1 + 23 + 1
+
+
+def test_nucleus_off_the_carrier_is_empty():
+    t = chain2()
+    assert nucleus(t, frozenset(["z"])) == frozenset()
+    assert nucleus(t, frozenset(["a", "z"])) == frozenset()
+    assert nucleus(t, ["b"]) == frozenset(["a", "b"])
+
+
+def test_frame_elements_returns_a_copy():
+    t = chain2()
+    frame = frame_elements(t)
+    frame.clear()
+    assert len(frame_elements(t)) == 3
+
+
+def test_edited_cover_gets_its_own_tables():
+    t = omega()
+    zero = frozenset(["0"])
+    cover = dict(t.cover)
+    cover[("0", zero)] = False
+    broken = FormalTopology(t.carrier, t.order, cover)
+    assert_tables_match_definitions(broken)
+    assert nucleus(broken, zero) == frozenset()
+    assert top(broken) == frozenset()
+    assert frame_elements(broken) == [frozenset()]
+    # the original keeps its own tables
+    assert nucleus(t, zero) == zero
+    assert top(t) == zero
+    assert frame_elements(t) == [frozenset(), zero]
+    assert implies(t, zero, frozenset()) == frozenset()

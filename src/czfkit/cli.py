@@ -25,8 +25,6 @@ def _parse_formula(text: str):
         return parse(text)
     except FormulaSyntaxError as e:
         raise _InputError(f"formula syntax error: {e}") from None
-    except RecursionError:
-        raise _InputError("formula syntax error: nested too deeply") from None
 
 
 def _parse_hf(text: str):
@@ -34,8 +32,6 @@ def _parse_hf(text: str):
         return hf.parse_hf(text)
     except ValueError as e:
         raise _InputError(f"bad hf literal: {e}") from None
-    except RecursionError:
-        raise _InputError("bad hf literal: nested too deeply") from None
 
 
 def _read_topology(path: str):

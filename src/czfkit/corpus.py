@@ -14,7 +14,7 @@ import itertools
 
 from .formula import (
     And, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit, Mem, Or, Var,
-    alpha_canonical, render,
+    alpha_canonical,
 )
 from . import hf
 
@@ -37,27 +37,27 @@ def _grow(scope: tuple[str, ...], max_depth: int, cap: int,
     """Formula lists indexed by exact depth, each level capped."""
     levels = [_atoms(scope, include_literals)[:cap]]
     for d in range(1, max_depth + 1):
-        older = [f for lvl in levels[:-1] for f in lvl]
-        newest = levels[-1]
-        level: list[Formula] = []
-
-        def add(f):
-            if len(level) < cap:
-                level.append(f)
-
-        for l, r in itertools.chain(
-                itertools.product(newest, older + newest),
-                itertools.product(older, newest)):
-            for conn in (And, Or, Imp):
-                add(conn(l, r))
-        bound_var = f"y{len(scope) + 1}"
-        inner = _grow(scope + (bound_var,), max_depth - 1, cap, include_literals)
-        for body in inner[d - 1]:
-            for b in scope:
-                add(BoundedAll(bound_var, Var(b), body))
-                add(BoundedEx(bound_var, Var(b), body))
-        levels.append(level)
+        levels.append(list(itertools.islice(
+            _candidates(scope, levels, d, max_depth, cap, include_literals),
+            cap)))
     return levels
+
+
+def _candidates(scope, levels, d, max_depth, cap, include_literals):
+    """The formulas of exact depth d, in order; built only as the level's
+    cap asks for them."""
+    older = [f for lvl in levels[:-1] for f in lvl]
+    newest = levels[-1]
+    for l, r in itertools.chain(itertools.product(newest, older + newest),
+                                itertools.product(older, newest)):
+        for conn in (And, Or, Imp):
+            yield conn(l, r)
+    bound_var = f"y{len(scope) + 1}"
+    inner = _grow(scope + (bound_var,), max_depth - 1, cap, include_literals)
+    for body in inner[d - 1]:
+        for b in scope:
+            yield BoundedAll(bound_var, Var(b), body)
+            yield BoundedEx(bound_var, Var(b), body)
 
 
 def bounded_formulas(free_count: int, max_depth: int, limit: int = 250,
@@ -66,11 +66,11 @@ def bounded_formulas(free_count: int, max_depth: int, limit: int = 250,
     first, distinct up to bound-variable renaming."""
     scope = tuple(f"x{i + 1}" for i in range(free_count))
     levels = _grow(scope, max_depth, limit, include_literals)
-    seen: set[str] = set()
+    seen: set[Formula] = set()
     out: list[Formula] = []
     for lvl in levels:
         for f in lvl:
-            key = render(alpha_canonical(f))
+            key = alpha_canonical(f)
             if key not in seen:
                 seen.add(key)
                 out.append(f)

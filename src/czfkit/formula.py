@@ -4,37 +4,124 @@ Connectives are Falsum, =, membership, class membership, and/or/implies,
 finite big conjunctions/disjunctions, and bounded/unbounded quantifiers.
 Negation is sugar: ``~p`` parses to ``p -> false``.  Biconditional ``<->``
 is sugar for the conjunction of both implications.
+
+Terms and formula nodes are hash-consed like ``HFSet`` and ``Name``: a
+module-level weak unique table maps each node's class and fields to its one
+live node, so equal formulas are one object, and equality and hashing are
+object identity.  Every node stores its free variables, a frozenset built
+from its children's when the node is new, and its rendering, built from its
+children's stored text the first time it is asked for.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from . import unique
 from .hf import HFSet, _parse_hf_at, _skip_ws
 
 
 class FormulaSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at position {pos}")
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None
+                         else f"{message} at position {pos}")
         self.pos = pos
+
+
+# -- nodes -----------------------------------------------------------------
+
+# (class, fields...) -> entry for the one live node with those fields.
+_table, _drop = unique.new_table()
+_lookup = _table.get
+_new = object.__new__
+_set = object.__setattr__
+_NO_VARS = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing an operand that already holds the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(fv: frozenset, v: str) -> frozenset:
+    return fv - {v} if v in fv else fv
+
+
+def _enter(key: tuple, node: "_Node", fv: frozenset, text: str | None = None):
+    """Stores the free variables and text of a node that missed in the
+    table, and enters it; returns the node the table holds afterwards."""
+    _set(node, "_fv", fv)
+    _set(node, "_text", text)
+    return unique.insert(_table, _drop, key, node)
+
+
+class _Node:
+    """A term or formula node.
+
+    ``Cls(*fields)`` returns the live node with these fields when there is
+    one, keyed by class and fields; each class's ``__new__`` looks it up
+    and, on a miss, makes the class's checks and builds the node.  Equality
+    and hashing are inherited from ``object``: identity.  ``_fv`` holds the
+    free variables; ``_text`` the rendering, which a term gets at
+    construction and a formula the first time ``render`` asks for it.
+    """
+
+    __slots__ = ("_fv", "_text", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot delete {attr}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the unique table.
+        return type(self), tuple(getattr(self, a) for a in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{a}={getattr(self, a)!r}"
+                           for a in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
 # -- terms -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not name:
             raise ValueError("empty variable name")
+        node = _new(cls)
+        _set(node, "name", name)
+        return _enter(key, node, frozenset((name,)), name)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: HFSet
+class Lit(_Node):
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: HFSet):
+        key = (cls, value)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set(node, "value", value)
+        return _enter(key, node, _NO_VARS, value.serialize())
 
 
 Term = Var | Lit
@@ -43,89 +130,234 @@ Term = Var | Lit
 # -- formula nodes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Falsum:
-    pass
+class _FormulaNode(_Node):
+    """A formula node.  ``_PREC`` is the highest operand level at which its
+    text needs no parentheses (0 formula, 1 or, 2 and, 3 unary/atom);
+    ``_subs`` are its formula children and ``_bare`` builds its text from
+    their stored text."""
+
+    __slots__ = ()
+    _PREC = 3
+
+    def _subs(self) -> tuple:
+        return ()
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Falsum(_FormulaNode):
+    __slots__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        return _enter(key, _new(cls), _NO_VARS)
+
+    def _bare(self) -> str:
+        return "false"
 
 
-@dataclass(frozen=True)
-class Mem:
-    left: Term
-    right: Term
+class _Binary(_FormulaNode):
+    """A node with a left and a right operand; ``_OP`` is its infix."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        return _enter(key, node, _union(left._fv, right._fv))
 
 
-@dataclass(frozen=True)
-class ClassMem:
-    element: Term
-    cls: str
+class _TermAtom(_Binary):
+    """An atom relating two terms."""
+
+    __slots__ = ()
+
+    def _bare(self) -> str:
+        return self.left._text + self._OP + self.right._text
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Eq(_TermAtom):
+    __slots__ = ()
+    _OP = " = "
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Mem(_TermAtom):
+    __slots__ = ()
+    _OP = " in "
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class ClassMem(_FormulaNode):
+    __slots__ = ("element", "cls")
+    __match_args__ = ("element", "cls")
+
+    def __new__(klass, element: Term, cls: str):
+        key = (klass, element, cls)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(klass)
+        _set(node, "element", element)
+        _set(node, "cls", cls)
+        return _enter(key, node, element._fv)
+
+    def _bare(self) -> str:
+        return f"{self.element._text} in {self.cls}"
 
 
-@dataclass(frozen=True)
-class BigAnd:
-    parts: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("BigAnd requires at least one conjunct")
+def _operand(f: "Formula", level: int) -> str:
+    """f's stored text as an operand at the given level."""
+    if level > f._PREC and not is_neg(f):
+        return "(" + f._text + ")"
+    return f._text
 
 
-@dataclass(frozen=True)
-class BigOr:
-    parts: tuple["Formula", ...]
+class _Connective(_Binary):
+    """A binary connective; ``_LEVELS`` are its operands' levels."""
 
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("BigOr requires at least one disjunct")
+    __slots__ = ()
 
+    def _subs(self) -> tuple:
+        return self.left, self.right
 
-@dataclass(frozen=True)
-class BoundedAll:
-    var: str
-    bound: Term
-    body: "Formula"
+    def _bare(self) -> str:
+        left_level, right_level = self._LEVELS
+        return (_operand(self.left, left_level) + self._OP
+                + _operand(self.right, right_level))
 
 
-@dataclass(frozen=True)
-class BoundedEx:
-    var: str
-    bound: Term
-    body: "Formula"
+class And(_Connective):
+    __slots__ = ()
+    _PREC, _OP, _LEVELS = 2, " & ", (2, 3)
 
 
-@dataclass(frozen=True)
-class All:
-    var: str
-    body: "Formula"
+class Or(_Connective):
+    __slots__ = ()
+    _PREC, _OP, _LEVELS = 1, " | ", (1, 2)
 
 
-@dataclass(frozen=True)
-class Ex:
-    var: str
-    body: "Formula"
+class Imp(_Connective):
+    __slots__ = ()
+    _PREC, _OP, _LEVELS = 0, " -> ", (1, 0)
+
+    def _bare(self) -> str:
+        if isinstance(self.right, Falsum):
+            return "~(" + self.left._text + ")"
+        return super()._bare()
+
+
+class _BigConnective(_FormulaNode):
+    """A finite conjunction or disjunction; ``_WORD`` is its keyword."""
+
+    __slots__ = ("parts",)
+    __match_args__ = ("parts",)
+
+    def __new__(cls, parts: tuple["Formula", ...]):
+        key = (cls, parts)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not parts:
+            raise ValueError(f"{cls.__name__} requires at least one "
+                             f"{cls._PART}")
+        node = _new(cls)
+        _set(node, "parts", parts)
+        fv = _NO_VARS
+        for p in parts:
+            fv = _union(fv, p._fv)
+        return _enter(key, node, fv)
+
+    def _subs(self) -> tuple:
+        return self.parts
+
+    def _bare(self) -> str:
+        return self._WORD + " [" + ", ".join(p._text for p in self.parts) + "]"
+
+
+class BigAnd(_BigConnective):
+    __slots__ = ()
+    _WORD, _PART = "bigand", "conjunct"
+
+
+class BigOr(_BigConnective):
+    __slots__ = ()
+    _WORD, _PART = "bigor", "disjunct"
+
+
+class _BoundedQuantifier(_FormulaNode):
+    """``_WORD`` var in bound. body"""
+
+    __slots__ = ("var", "bound", "body")
+    __match_args__ = ("var", "bound", "body")
+    _PREC = 0
+
+    def __new__(cls, var: str, bound: Term, body: "Formula"):
+        key = (cls, var, bound, body)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set(node, "var", var)
+        _set(node, "bound", bound)
+        _set(node, "body", body)
+        return _enter(key, node, _union(bound._fv, _without(body._fv, var)))
+
+    def _subs(self) -> tuple:
+        return (self.body,)
+
+    def _bare(self) -> str:
+        return (f"{self._WORD} {self.var} in {self.bound._text}. "
+                + self.body._text)
+
+
+class BoundedAll(_BoundedQuantifier):
+    __slots__ = ()
+    _WORD = "all"
+
+
+class BoundedEx(_BoundedQuantifier):
+    __slots__ = ()
+    _WORD = "ex"
+
+
+class _Quantifier(_FormulaNode):
+    """``_WORD`` var. body"""
+
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+    _PREC = 0
+
+    def __new__(cls, var: str, body: "Formula"):
+        key = (cls, var, body)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set(node, "var", var)
+        _set(node, "body", body)
+        return _enter(key, node, _without(body._fv, var))
+
+    def _subs(self) -> tuple:
+        return (self.body,)
+
+    def _bare(self) -> str:
+        return f"{self._WORD} {self.var}. {self.body._text}"
+
+
+class All(_Quantifier):
+    __slots__ = ()
+    _WORD = "all"
+
+
+class Ex(_Quantifier):
+    __slots__ = ()
+    _WORD = "ex"
 
 
 Formula = (
@@ -279,100 +511,61 @@ def parse(text: str, forbid_free: bool = False) -> Formula:
     """Parse formula source text.
 
     With ``forbid_free`` the formula must be a sentence; any free variable
-    raises ValueError.
+    raises ValueError.  Input nested deeper than the recursion limit allows
+    raises FormulaSyntaxError("nested too deeply").
     """
     p = _Parser(text)
-    f = p.parse_formula()
+    try:
+        f = p.parse_formula()
+    except RecursionError:
+        raise FormulaSyntaxError("nested too deeply") from None
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    if forbid_free:
-        fv = free_vars(f)
-        if fv:
-            raise ValueError(f"unbound variables: {sorted(fv)}")
+    if forbid_free and f._fv:
+        raise ValueError(f"unbound variables: {sorted(f._fv)}")
     return f
 
 
 # -- rendering -------------------------------------------------------------
 
 
-def _render_term(t: Term) -> str:
-    return t.name if isinstance(t, Var) else t.value.serialize()
-
-
 def render(f: Formula) -> str:
-    """Canonical text; ``parse(render(f))`` is structurally ``f``."""
-    return _render(f, 0)
+    """Canonical text; ``parse(render(f))`` is ``f``."""
+    if not isinstance(f, _FormulaNode):
+        raise TypeError(f"not a formula: {f!r}")
+    return _text(f)
 
 
-# operator levels: 0 formula (->), 1 or, 2 and, 3 unary/atom
-def _render(f: Formula, level: int) -> str:
-    if is_neg(f):
-        return "~(" + _render(f.left, 0) + ")"
-    match f:
-        case Falsum():
-            return "false"
-        case Eq(l, r):
-            return f"{_render_term(l)} = {_render_term(r)}"
-        case Mem(l, r):
-            return f"{_render_term(l)} in {_render_term(r)}"
-        case ClassMem(e, c):
-            return f"{_render_term(e)} in {c}"
-        case And(l, r):
-            s = f"{_render(l, 2)} & {_render(r, 3)}"
-            return f"({s})" if level > 2 else s
-        case Or(l, r):
-            s = f"{_render(l, 1)} | {_render(r, 2)}"
-            return f"({s})" if level > 1 else s
-        case Imp(l, r):
-            s = f"{_render(l, 1)} -> {_render(r, 0)}"
-            return f"({s})" if level > 0 else s
-        case BigAnd(parts):
-            return "bigand [" + ", ".join(_render(p, 0) for p in parts) + "]"
-        case BigOr(parts):
-            return "bigor [" + ", ".join(_render(p, 0) for p in parts) + "]"
-        case BoundedAll(v, b, body):
-            s = f"all {v} in {_render_term(b)}. {_render(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case BoundedEx(v, b, body):
-            s = f"ex {v} in {_render_term(b)}. {_render(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case All(v, body):
-            s = f"all {v}. {_render(body, 0)}"
-            return f"({s})" if level > 0 else s
-        case Ex(v, body):
-            s = f"ex {v}. {_render(body, 0)}"
-            return f"({s})" if level > 0 else s
-    raise TypeError(f"not a formula: {f!r}")
+def _text(f: Formula) -> str:
+    """f's stored text, built on first use for f and the nodes below it
+    that lack theirs, children first, with an explicit stack.  Two threads
+    may both build a node's text; they store equal strings."""
+    if f._text is None:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            missing = [c for c in g._subs() if c._text is None]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if g._text is None:
+                _set(g, "_text", g._bare())
+    return f._text
 
 
 # -- variables and substitution --------------------------------------------
 
 
-def _term_vars(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Var) else set()
-
-
 def free_vars(f: Formula) -> set[str]:
-    match f:
-        case Falsum():
-            return set()
-        case Eq(l, r) | Mem(l, r):
-            return _term_vars(l) | _term_vars(r)
-        case ClassMem(e, _):
-            return _term_vars(e)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return free_vars(l) | free_vars(r)
-        case BigAnd(parts) | BigOr(parts):
-            return set().union(*(free_vars(p) for p in parts))
-        case BoundedAll(v, b, body) | BoundedEx(v, b, body):
-            return _term_vars(b) | (free_vars(body) - {v})
-        case All(v, body) | Ex(v, body):
-            return free_vars(body) - {v}
-    raise TypeError(f"not a formula: {f!r}")
+    """A fresh set of the free variables of f, read from its stored ones."""
+    if not isinstance(f, _FormulaNode):
+        raise TypeError(f"not a formula: {f!r}")
+    return set(f._fv)
 
 
-def _fresh(base: str, avoid: set[str]) -> str:
+def _fresh(base: str, avoid: set[str] | frozenset[str]) -> str:
     cand = base + "'"
     while cand in avoid:
         cand += "'"
@@ -384,9 +577,10 @@ def _subst_term(t: Term, v: str, r: Term) -> Term:
 
 
 def substitute(f: Formula, v: str, t: Term) -> Formula:
-    """Capture-avoiding substitution of term t for free occurrences of v."""
+    """Capture-avoiding substitution of term t for free occurrences of v.
+    A formula in which v is not free is returned as it is."""
     match f:
-        case Falsum():
+        case _FormulaNode() if v not in f._fv:
             return f
         case Eq(l, r):
             return Eq(_subst_term(l, v, t), _subst_term(r, v, t))
@@ -409,17 +603,15 @@ def substitute(f: Formula, v: str, t: Term) -> Formula:
             nb = _subst_term(b, v, t)
             if w == v:
                 return cls(w, nb, body)
-            if w in _term_vars(t) and v in free_vars(body):
-                nw = _fresh(w, free_vars(body) | _term_vars(t) | {v})
+            if w in t._fv and v in body._fv:
+                nw = _fresh(w, body._fv | t._fv | {v})
                 body = substitute(body, w, Var(nw))
                 w = nw
             return cls(w, nb, substitute(body, v, t))
         case All(w, body) | Ex(w, body):
             cls = type(f)
-            if w == v or v not in free_vars(body):
-                return f
-            if w in _term_vars(t):
-                nw = _fresh(w, free_vars(body) | _term_vars(t) | {v})
+            if w in t._fv:
+                nw = _fresh(w, body._fv | t._fv | {v})
                 body = substitute(body, w, Var(nw))
                 w = nw
             return cls(w, substitute(body, v, t))

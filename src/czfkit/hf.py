@@ -126,8 +126,13 @@ def hfset(*elems: HFSet) -> HFSet:
 
 
 def parse_hf(text: str) -> HFSet:
-    """Parse the canonical brace notation, e.g. ``{{},{{}}}``."""
-    s, pos = _parse_hf_at(text, _skip_ws(text, 0))
+    """Parse the canonical brace notation, e.g. ``{{},{{}}}``.  Malformed
+    input, and input nested deeper than the recursion limit allows, raise
+    ValueError."""
+    try:
+        s, pos = _parse_hf_at(text, _skip_ws(text, 0))
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term, Var, _fresh, class_ids, free_vars,
-    render, substitute,
+    Formula, Imp, Lit, Mem, Or, Term, Var, _fresh, _text, class_ids,
+    free_vars, render, substitute,
 )
 
 
@@ -49,12 +49,10 @@ class Sequent:
 
     @staticmethod
     def make(left, right) -> "Sequent":
-        def dedup(fs):
-            seen = {}
-            for f in fs:
-                seen.setdefault(render(f), f)
-            return tuple(seen[k] for k in sorted(seen))
-        return Sequent(dedup(left), dedup(right))
+        # Formulas are hash-consed, so a set drops duplicates; sorting by
+        # the stored text gives each side one order.
+        return Sequent(tuple(sorted(set(left), key=_text)),
+                       tuple(sorted(set(right), key=_text)))
 
     def render(self) -> str:
         return (", ".join(render(f) for f in self.left) + " => "
@@ -76,9 +74,17 @@ class Derivation:
 
 @dataclass(frozen=True)
 class ProveResult:
+    """The outcome of a search and what it cost.  ``expanded`` counts the
+    sequents expanded; ``limit`` is ``"nodes"`` when the node budget ran
+    out, else ``"depth"`` when a branch reached ``_Search.MAX_DEPTH``, else
+    None; ``loop_hits`` counts sequents refused because an ancestor was the
+    same sequent, and ``memo_hits`` those refused as already failed."""
     outcome: Outcome
     derivation: Derivation | None = None
     expanded: int = 0
+    limit: str | None = None
+    loop_hits: int = 0
+    memo_hits: int = 0
 
 
 def desugar(f: Formula) -> Formula:
@@ -182,8 +188,9 @@ class _Search:
         self.allow_cut = allow_cut
         self.expanded = 0
         self.failed: set[Sequent] = set()
-        self.hit_budget = False
+        self.limit: str | None = None
         self.loop_hits = 0
+        self.memo_hits = 0
 
     def _moves(self, s: Sequent):
         """Yields (rule, premises) backward moves, most constrained first."""
@@ -291,12 +298,16 @@ class _Search:
         if any(isinstance(f, Falsum) for f in s.left):
             return Derivation("L-false", s)
         if s in self.failed:
+            self.memo_hits += 1
             return None
         if s in ancestors:
             self.loop_hits += 1
             return None
-        if self.expanded >= self.budget or len(ancestors) >= self.MAX_DEPTH:
-            self.hit_budget = True
+        if self.expanded >= self.budget:
+            self.limit = "nodes"
+            return None
+        if len(ancestors) >= self.MAX_DEPTH:
+            self.limit = self.limit or "depth"
             return None
         self.expanded += 1
         ancestors = ancestors | {s}
@@ -314,7 +325,7 @@ class _Search:
                 return Derivation(rule, s, tuple(subs))
         # a failure that never tripped the ancestor check or the budget is
         # context-independent and safe to memoize
-        if self.loop_hits == loops_before and not self.hit_budget:
+        if self.loop_hits == loops_before and self.limit is None:
             self.failed.add(s)
         return None
 
@@ -333,10 +344,13 @@ def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
     finally:
         sys.setrecursionlimit(limit)
     if d is not None:
-        return ProveResult(Outcome.PROVED, d, search.expanded)
-    if search.hit_budget:
-        return ProveResult(Outcome.BUDGET_EXCEEDED, None, search.expanded)
-    return ProveResult(Outcome.NOT_PROVABLE, None, search.expanded)
+        outcome = Outcome.PROVED
+    elif search.limit is not None:
+        outcome = Outcome.BUDGET_EXCEEDED
+    else:
+        outcome = Outcome.NOT_PROVABLE
+    return ProveResult(outcome, d, search.expanded, search.limit,
+                       search.loop_hits, search.memo_hits)
 
 
 def prove_formula(f: Formula, logic: Logic = Logic.INTUITIONISTIC,
@@ -468,11 +482,10 @@ def _matches_eigen(kind, f, g, d, premise: Sequent, logic: Logic) -> bool:
     conclusion_vars = set().union(*map(free_vars, (f,) + g + d))
     seen = set()
     for t in candidates:
-        key = render(substitute(f.body, f.var, t))
-        if key in seen:
-            continue
-        seen.add(key)
         body = substitute(f.body, f.var, t)
+        if body in seen:
+            continue
+        seen.add(body)
         if kind == "ex":  # L-ex: fresh variable, principal removed
             if not isinstance(t, Var):
                 continue
@@ -539,6 +552,7 @@ def check_derivation(d: Derivation, logic: Logic = Logic.INTUITIONISTIC,
         for sub in _walk(f):
             skeletons.add(_skeleton(sub))
     sub_ok = True
+    looked_up: set[Formula] = set()  # formulas are hash-consed
     stack = [d]
     while stack:
         node = stack.pop()
@@ -546,8 +560,10 @@ def check_derivation(d: Derivation, logic: Logic = Logic.INTUITIONISTIC,
         if reason is not None:
             return CheckReport(False, node.conclusion, reason, sub_ok)
         for f in node.conclusion.left + node.conclusion.right:
-            if _skeleton(f) not in skeletons:
-                sub_ok = False
+            if f not in looked_up:
+                looked_up.add(f)
+                if _skeleton(f) not in skeletons:
+                    sub_ok = False
         stack.extend(node.premises)
     return CheckReport(True, None, "", sub_ok)
 

@@ -1,11 +1,16 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
-from czfkit import hf
+from czfkit import formula, hf
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
-    All, And, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
+    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
     FormulaSyntaxError, Imp, Lit, Mem, Or, Var, alpha_eq, class_ids,
-    free_vars, is_bounded, parse, relativize, render, substitute,
+    free_vars, is_bounded, neg, parse, relativize, render, substitute,
 )
 
 
@@ -150,3 +155,209 @@ def test_alpha_eq():
     assert not alpha_eq(parse("all x. x = x"), parse("all y. y in y"))
     assert alpha_eq(parse("ex x in a. all y in x. y in b"),
                     parse("ex u in a. all v in u. v in b"))
+
+
+# -- hash-consing ------------------------------------------------------------
+
+EXAMPLES = [
+    "false",
+    "x in M",
+    "~(x = x)",
+    "x = {} & (y in z | ~(y = z))",
+    "all x in a. ex y. x in y -> y = {{}}",
+    "bigand [x = x, bigor [false, y in x]]",
+    "(a = a -> b = b) <-> ~~(c = c)",
+]
+
+
+@pytest.mark.parametrize("text", EXAMPLES)
+def test_equal_formulas_are_one_node(text):
+    f = parse(text)
+    assert parse(text) is f
+    assert parse(render(f)) is f
+    assert hash(f) == object.__hash__(f)
+    assert type(f).__eq__ is object.__eq__
+
+
+def test_constructors_intern():
+    assert Var("x") is Var("x")
+    assert Lit(hf.EMPTY) is Lit(hf.hfset())
+    assert Falsum() is Falsum()
+    assert Eq(Var("x"), Var("y")) is not Mem(Var("x"), Var("y"))
+    assert And(Falsum(), Falsum()) is not Or(Falsum(), Falsum())
+    assert Ex(var="x", body=Falsum()) is Ex("x", Falsum())
+    assert ClassMem(element=Var("x"), cls="M") is parse("x in M")
+    assert BigAnd((Falsum(),)) is not BigOr((Falsum(),))
+
+
+def test_construction_checks_unchanged():
+    with pytest.raises(ValueError):
+        Var("")
+    with pytest.raises(ValueError):
+        BigAnd(())
+    with pytest.raises(ValueError):
+        BigOr(())
+    with pytest.raises(TypeError):
+        Eq(Var("x"))
+    with pytest.raises(TypeError):
+        All("x", Falsum(), Falsum())
+
+
+@pytest.mark.parametrize("text", EXAMPLES)
+def test_copies_go_back_through_the_table(text):
+    f = parse(text)
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert Falsum() is copy.copy(Falsum()) is pickle.loads(
+        pickle.dumps(Falsum()))
+    assert render(Falsum()) == "false"
+
+
+def test_nodes_are_immutable():
+    f = parse("x in y & y = x")
+    for node, attr in [(f, "left"), (f.left, "right"), (Var("x"), "name"),
+                       (f, "_text"), (f, "_fv"), (f, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(node, attr, Falsum())
+        with pytest.raises(AttributeError):
+            delattr(node, attr)
+    assert f is parse("x in y & y = x")
+
+
+def test_repr_names_the_fields():
+    assert repr(parse("ex x. x = y")) == (
+        "Ex(var='x', body=Eq(left=Var(name='x'), right=Var(name='y')))")
+
+
+def test_stored_free_vars_are_a_fresh_set():
+    f = parse("all x. x in y & z = x")
+    fv = free_vars(f)
+    assert fv == {"y", "z"}
+    fv.add("w")
+    assert free_vars(f) == {"y", "z"}
+    with pytest.raises(TypeError):
+        free_vars(Var("x"))
+    with pytest.raises(TypeError):
+        render(Var("x"))
+
+
+def _render_reference(f, level=0):
+    """The recursive renderer the stored text replaced."""
+    def term(t):
+        return t.name if isinstance(t, Var) else t.value.serialize()
+
+    def wrap(s, binds):
+        return f"({s})" if level > binds else s
+
+    if isinstance(f, Imp) and isinstance(f.right, Falsum):
+        return "~(" + _render_reference(f.left) + ")"
+    match f:
+        case Falsum():
+            return "false"
+        case Eq(l, r):
+            return f"{term(l)} = {term(r)}"
+        case Mem(l, r):
+            return f"{term(l)} in {term(r)}"
+        case ClassMem(e, c):
+            return f"{term(e)} in {c}"
+        case And(l, r):
+            return wrap(f"{_render_reference(l, 2)} & "
+                        f"{_render_reference(r, 3)}", 2)
+        case Or(l, r):
+            return wrap(f"{_render_reference(l, 1)} | "
+                        f"{_render_reference(r, 2)}", 1)
+        case Imp(l, r):
+            return wrap(f"{_render_reference(l, 1)} -> "
+                        f"{_render_reference(r)}", 0)
+        case BigAnd(ps) | BigOr(ps):
+            word = "bigand" if isinstance(f, BigAnd) else "bigor"
+            return f"{word} [" + ", ".join(map(_render_reference, ps)) + "]"
+        case BoundedAll(v, b, body) | BoundedEx(v, b, body):
+            word = "all" if isinstance(f, BoundedAll) else "ex"
+            return wrap(f"{word} {v} in {term(b)}. "
+                        f"{_render_reference(body)}", 0)
+        case All(v, body) | Ex(v, body):
+            word = "all" if isinstance(f, All) else "ex"
+            return wrap(f"{word} {v}. {_render_reference(body)}", 0)
+
+
+def test_stored_text_matches_reference_renderer():
+    pool = bounded_formulas(2, 3, limit=250, include_literals=True)
+    pool += [neg(f) for f in pool[:60]] + [All("z", f) for f in pool[:60]]
+    pool += [BigAnd(tuple(pool[i:i + 3])) for i in range(0, 60, 3)]
+    pool += [parse(t) for t in EXAMPLES]
+    for f in pool:
+        assert render(f) == _render_reference(f)
+
+
+def test_deep_formulas_render_and_parse_errors():
+    f = Eq(Var("x"), Var("x"))
+    for _ in range(3000):
+        f = neg(f)
+    assert render(f) == "~(" * 3000 + "x = x" + ")" * 3000
+    assert free_vars(f) == {"x"}
+    with pytest.raises(FormulaSyntaxError, match="^nested too deeply$"):
+        parse("~" * 3000 + "x = x")
+    with pytest.raises(FormulaSyntaxError, match="^nested too deeply$"):
+        parse("x = " + "{" * 3000 + "}" * 3000)
+
+
+def _key(f):
+    return (type(f), *f.__reduce__()[1])
+
+
+def test_threads_share_one_node_per_formula():
+    """Threads that build, render and drop the same new formulas at once
+    still get one object per formula, each the one in the table, with its
+    text."""
+    threads_n, rounds = 8, 100
+    results: list = [None] * threads_n
+    errors: list = []
+    step = threading.Barrier(threads_n)
+
+    def fresh(r):
+        # formulas no earlier round built: variables named by the round
+        out = []
+        for k in range(8):
+            x, y = Var(f"x{r}_{k}"), Var(f"y{r}")
+            f = Imp(And(Eq(x, y), Mem(y, x)), neg(ClassMem(x, "M")))
+            out += [f, All(x.name, f), BoundedEx("z", y, Or(f, Falsum()))]
+        return out
+
+    def work(i):
+        try:
+            for r in range(rounds):
+                step.wait(timeout=10)
+                built = fresh(r) + [parse(t) for t in EXAMPLES]
+                texts = [render(f) for f in built]
+                lost = [f for f in built
+                        if formula._table[_key(f)]() is not f]
+                if lost:
+                    errors.append(f"round {r}: {lost[0]} is not in the table")
+                    step.abort()
+                    return
+            results[i] = (built, texts)
+        except threading.BrokenBarrierError:
+            pass  # another thread failed and said why
+        except Exception as e:
+            errors.append(repr(e))
+            step.abort()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    first, texts = results[0]
+    assert texts == [_render_reference(f) for f in first]
+    for other, _ in results[1:]:
+        assert all(a is b for a, b in zip(first, other, strict=True))

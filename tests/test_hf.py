@@ -50,6 +50,13 @@ def test_parse_whitespace_and_errors():
         parse_hf("{,}")
 
 
+def test_parse_deep_literal_raises_value_error():
+    with pytest.raises(ValueError, match="^nested too deeply$"):
+        parse_hf("{" * 3000 + "}" * 3000)
+    deep = "{" * 200 + "}" * 200
+    assert parse_hf(deep).rank() == 199
+
+
 @given(hf_strategy())
 def test_serialize_parse_inverse(s):
     assert parse_hf(str(s)) == s

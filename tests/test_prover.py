@@ -1,10 +1,17 @@
+import hashlib
 import itertools
+import random
 import sys
 
 import pytest
 
+from czfkit import prover
 from czfkit.corpus import bounded_formulas
-from czfkit.formula import And, Eq, Imp, Or, Var, neg, parse
+from czfkit.formula import (
+    QUANTIFIERS, All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem,
+    Eq, Ex, Falsum, Imp, Mem, Or, Var, free_vars, neg, parse, render,
+    subformulas, substitute,
+)
 from czfkit.prover import (
     ClassEliminationError, Derivation, Logic, Outcome, Sequent,
     check_derivation, eliminate_classes, prove, prove_formula,
@@ -251,3 +258,290 @@ def test_eliminate_classes_rejects_nested_class():
 def test_eliminate_classes_no_classes_is_identity():
     axioms, g = eliminate_classes([parse("x = x")], parse("y = y"))
     assert axioms == [parse("x = x")] and g == parse("y = y")
+
+
+# -- search counters ----------------------------------------------------------
+
+
+def test_result_names_the_node_budget():
+    r = prove_formula(parse("x = x | ~(x = x)"), CL, budget=1)
+    assert (r.outcome, r.limit, r.expanded) == \
+        (Outcome.BUDGET_EXCEEDED, "nodes", 1)
+
+
+def test_result_names_the_depth_limit(monkeypatch):
+    monkeypatch.setattr(prover._Search, "MAX_DEPTH", 3)
+    r = prove_formula(parse("(all y. ex x. x in y) -> (ex x. all y. x in y)"),
+                      CL, budget=400)
+    assert (r.outcome, r.limit) == (Outcome.BUDGET_EXCEEDED, "depth")
+    assert r.expanded < 400
+
+
+def test_result_counts_loop_and_memo_hits():
+    proved = prove_formula(parse("x = x -> x = x"), INT)
+    assert (proved.limit, proved.loop_hits, proved.memo_hits) == (None, 0, 0)
+    refuted = prove_formula(parse("((x = x -> y = y) -> x = x) -> x = x"),
+                            INT)
+    assert refuted.outcome is Outcome.NOT_PROVABLE
+    assert refuted.limit is None and refuted.loop_hits > 0
+    r = prove_formula(parse("~(d = d) -> ~(b = b)"), CL)
+    assert (r.outcome, r.limit, r.loop_hits, r.memo_hits) == \
+        (Outcome.NOT_PROVABLE, None, 0, 1)
+
+
+# -- the search is the one the render-keyed sequents gave ---------------------
+
+PREFIX = {
+    "AA": "all x. all y. x in y", "EA": "ex x. all y. x in y",
+    "AE": "all y. ex x. x in y", "EAr": "ex y. all x. x in y",
+    "AEr": "all x. ex y. x in y", "EE": "ex x. ex y. x in y",
+}
+PAIRS = [("AA", "EE"), ("EA", "AE"), ("AE", "EA"), ("EAr", "AEr"),
+         ("AEr", "EAr"), ("EE", "AA"), ("AA", "EAr"), ("EA", "EE")]
+PROPS = ["(a = a -> b = b) -> ~b = b -> ~a = a",
+         "a = a | ~a = a",
+         "((a = a -> b = b) -> a = a) -> a = a",
+         "~(a = a & b = b) -> ~a = a | ~b = b",
+         "(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c)",
+         "~~(a = a) -> a = a"]
+
+
+def _pinned_targets():
+    """Quantifier-prefix implications under both logics (node budget 64)
+    and Glivenko triples (budget 200), as the benchmark's prover items."""
+    for a, b in PAIRS:
+        f = parse(f"({PREFIX[a]}) -> ({PREFIX[b]})")
+        for logic in Logic:
+            yield f"{a}->{b} {logic.value}", f, logic, 64
+    for text in PROPS:
+        f = parse(text)
+        yield f"{text} cl", f, CL, 200
+        yield f"{text} nn", neg(neg(f)), INT, 200
+        yield f"{text} dn", dn_translate(f), INT, 200
+
+
+# (outcome, nodes expanded, sha256 of derivation.render() or of "") per
+# target, recorded with the render-keyed Sequent.make these replaced.
+PINNED = {
+    'AA->EE intuitionistic': ('proved', 5, 'bff2c7e4c82779cb'),
+    'AA->EE classical': ('proved', 5, 'bff2c7e4c82779cb'),
+    'EA->AE intuitionistic': ('proved', 7, '365c0e490866afa6'),
+    'EA->AE classical': ('proved', 7, '365c0e490866afa6'),
+    'AE->EA intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
+    'AE->EA classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
+    'EAr->AEr intuitionistic': ('proved', 7, '4f6b25552bf4d43c'),
+    'EAr->AEr classical': ('proved', 7, '4f6b25552bf4d43c'),
+    'AEr->EAr intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
+    'AEr->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
+    'EE->AA intuitionistic': ('not-provable', 6, 'e3b0c44298fc1c14'),
+    'EE->AA classical': ('not-provable', 6, 'e3b0c44298fc1c14'),
+    'AA->EAr intuitionistic': ('proved', 8, 'fca5b7392e4073a2'),
+    'AA->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
+    'EA->EE intuitionistic': ('proved', 5, '7957911460b160e5'),
+    'EA->EE classical': ('proved', 5, '7957911460b160e5'),
+    '(a = a -> b = b) -> ~b = b -> ~a = a cl': ('proved', 5, '8a217617194bc490'),
+    '(a = a -> b = b) -> ~b = b -> ~a = a nn': ('proved', 12, '86e62bbb41404b50'),
+    '(a = a -> b = b) -> ~b = b -> ~a = a dn': ('proved', 17, '0a25b530001a0350'),
+    'a = a | ~a = a cl': ('proved', 2, '32db83874ee3f3a8'),
+    'a = a | ~a = a nn': ('proved', 6, '7b95d38b3addc84b'),
+    'a = a | ~a = a dn': ('proved', 12, 'fdc483750ae8603a'),
+    '((a = a -> b = b) -> a = a) -> a = a cl': ('proved', 3, '7da06eea33a2ff59'),
+    '((a = a -> b = b) -> a = a) -> a = a nn': ('proved', 10, 'ca3ff6053f829594'),
+    '((a = a -> b = b) -> a = a) -> a = a dn': ('proved', 34, '8b7bcade970958e7'),
+    '~(a = a & b = b) -> ~a = a | ~b = b cl': ('proved', 6, '2b8210fba97b5aaf'),
+    '~(a = a & b = b) -> ~a = a | ~b = b nn': ('proved', 14, '2e253a814f9e2c4e'),
+    '~(a = a & b = b) -> ~a = a | ~b = b dn': ('proved', 140, 'ee7b8dca13d72429'),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) cl': ('proved', 6, '964371b5692d066f'),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) nn': ('proved', 15, 'ad90a3e7df9b50de'),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) dn': ('proved', 128, '6f0a1472de4e781b'),
+    '~~(a = a) -> a = a cl': ('proved', 3, '586c8969d5476b14'),
+    '~~(a = a) -> a = a nn': ('proved', 8, '64abcfe0e2156382'),
+    '~~(a = a) -> a = a dn': ('proved', 9, '1c88062e9229d9a0'),
+}
+
+
+def test_pinned_searches():
+    got = {}
+    for label, f, logic, budget in _pinned_targets():
+        r = prove_formula(f, logic, budget=budget)
+        text = r.derivation.render() if r.derivation else ""
+        got[label] = (r.outcome.value, r.expanded,
+                      hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert got == PINNED
+
+
+def _render_make_reference(left, right):
+    """Sequent.make as it was: dedup by rendering, sorted by rendering."""
+    def dedup(fs):
+        seen = {}
+        for f in fs:
+            seen.setdefault(render(f), f)
+        return tuple(seen[k] for k in sorted(seen))
+    return Sequent(dedup(left), dedup(right))
+
+
+def _free_vars_reference(f):
+    """free_vars as it was: a recursion over the formula."""
+    def term(t):
+        return {t.name} if isinstance(t, Var) else set()
+
+    match f:
+        case Falsum():
+            return set()
+        case Eq(l, r) | Mem(l, r):
+            return term(l) | term(r)
+        case ClassMem(e, _):
+            return term(e)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            return _free_vars_reference(l) | _free_vars_reference(r)
+        case BigAnd(parts) | BigOr(parts):
+            return set().union(*map(_free_vars_reference, parts))
+        case BoundedAll(v, b, body) | BoundedEx(v, b, body):
+            return term(b) | (_free_vars_reference(body) - {v})
+        case All(v, body) | Ex(v, body):
+            return _free_vars_reference(body) - {v}
+
+
+def test_sequents_match_the_render_keyed_reference(monkeypatch):
+    made = []
+    make = Sequent.make
+
+    def recording(left, right):
+        left, right = list(left), list(right)
+        s = make(left, right)
+        made.append((left, right, s))
+        return s
+
+    monkeypatch.setattr(Sequent, "make", staticmethod(recording))
+    for label, f, logic, budget in _pinned_targets():
+        prove_formula(f, logic, budget=budget)
+    for f in bounded_formulas(1, 2, limit=40):
+        prove_formula(Imp(f, f), INT, budget=100)
+    monkeypatch.undo()
+    assert len(made) > 5000
+    formulas = set()
+    for left, right, s in made:
+        ref = _render_make_reference(left, right)
+        assert s.left == ref.left and s.right == ref.right
+        formulas.update(s.left + s.right)
+    for f in formulas:
+        for g in subformulas(f):
+            assert free_vars(g) == _free_vars_reference(g)
+
+
+# -- mutation test for check_derivation ---------------------------------------
+
+RULE_ARITY = {
+    "init": 0, "L-false": 0, "L-and": 1, "R-or": 1, "R-imp": 1,
+    "L-bigand": 1, "R-bigor": 1, "L-all": 1, "R-all": 1, "L-ex": 1, "R-ex": 1,
+    "R-and": 2, "L-or": 2, "L-imp": 2, "cut": 2,
+    "L-bigor": None, "R-bigand": None,  # one premise per part
+}
+CHECKED_TARGETS = [
+    "x = x -> x = x", "false -> x in y", "x = x & y = y -> y = y",
+    "x = x -> x = x | y = y", "~(x = x | y = y) -> ~(x = x)",
+    "(x = x -> y = y) -> (~(y = y) -> ~(x = x))", "~~(x = x | ~(x = x))",
+    "(all x. x in a) -> {} in a", "{} in a -> (ex x. x in a)",
+    "(all x. x in a & x in b) -> (all x. x in a)", "x = x | ~(x = x)",
+    "~~(x = x) -> x = x", "((x = x -> y = y) -> x = x) -> x = x",
+    "(ex x. all y. x in y) -> (all y. ex x. x in y)",
+    "(all x in a. x in b) -> ({} in a -> {} in b)",
+    "({} in a & {} in b) -> (ex x in a. x in b)",
+    "x = x & y = y -> y = y | z = z", "all y. (y in x -> y in x)",
+    "(ex y. y in x) -> ex y. y in x",
+]
+
+
+def _prover_derivations():
+    """Every proof the prover finds for the targets of this file and for a
+    seeded sample of corpus formulas (as f -> f and as ~~(f | ~f), so that
+    most are provable), under both logics."""
+    pool = bounded_formulas(1, 2, limit=250)
+    quantified = [f for f in pool
+                  if any(isinstance(g, QUANTIFIERS) for g in subformulas(f))]
+    rng = random.Random(5)
+    sample = rng.sample(pool, 10) + rng.sample(quantified, 14)
+    targets = [parse(t) for t in CHECKED_TARGETS]
+    targets += [Imp(f, f) for f in sample]
+    targets += [neg(neg(Or(f, neg(f)))) for f in sample]
+    for f in targets:
+        for logic in Logic:
+            r = prove_formula(f, logic, budget=300)
+            if r.outcome is Outcome.PROVED:
+                yield r.derivation, logic
+
+
+def _nodes(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _nodes(p, path + (i,))
+
+
+def _replace(d, path, node):
+    if not path:
+        return node
+    premises = list(d.premises)
+    premises[path[0]] = _replace(premises[path[0]], path[1:], node)
+    return Derivation(d.rule, d.conclusion, tuple(premises))
+
+
+def _axiom_applies(rule, s):
+    if rule == "init":
+        return any(isinstance(f, (Eq, Mem, ClassMem)) and f in s.right
+                   for f in s.left)
+    return any(isinstance(f, Falsum) for f in s.left)
+
+
+def _sequent_vars(s):
+    return set().union(*map(free_vars, s.left + s.right))
+
+
+def test_check_derivation_mutations():
+    """Each proof is accepted; each copy with one node corrupted (its rule
+    renamed, a premise dropped, or its eigenvariable swapped for a variable
+    free in its conclusion) is rejected at that node."""
+    derivations = list(_prover_derivations())
+    assert len(derivations) > 100
+    counts = {"rename": 0, "drop": 0, "eigen": 0}
+    for n, (d, logic) in enumerate(derivations):
+        report = check_derivation(d, logic)
+        assert report.ok, (report.reason, d.conclusion.render())
+        rng = random.Random(n)
+        nodes = list(_nodes(d))
+        corrupted = []
+        for path, node in rng.sample(nodes, min(3, len(nodes))):
+            for rule in RULE_ARITY:
+                if rule != node.rule \
+                        and RULE_ARITY[rule] in (None, len(node.premises)) \
+                        and not (RULE_ARITY[rule] == 0
+                                 and _axiom_applies(rule, node.conclusion)):
+                    corrupted.append(("rename", path, Derivation(
+                        rule, node.conclusion, node.premises)))
+        branching = [(path, node) for path, node in nodes if node.premises]
+        for path, node in rng.sample(branching, min(3, len(branching))):
+            for i in range(len(node.premises)):
+                corrupted.append(("drop", path, Derivation(
+                    node.rule, node.conclusion,
+                    node.premises[:i] + node.premises[i + 1:])))
+        for path, node in nodes:
+            if node.rule not in ("R-all", "L-ex"):
+                continue
+            (above,) = node.premises
+            outside = _sequent_vars(node.conclusion)
+            (eigen,) = _sequent_vars(above.conclusion) - outside
+            for x in sorted(outside)[:2]:
+                p = above.conclusion
+                swapped = Sequent.make(
+                    [substitute(f, eigen, Var(x)) for f in p.left],
+                    [substitute(f, eigen, Var(x)) for f in p.right])
+                corrupted.append(("eigen", path, Derivation(
+                    node.rule, node.conclusion,
+                    (Derivation(above.rule, swapped, above.premises),))))
+        for kind, path, bad in corrupted:
+            report = check_derivation(_replace(d, path, bad), logic)
+            assert not report.ok, (kind, bad.rule, bad.conclusion.render())
+            assert report.invalid == bad.conclusion
+            counts[kind] += 1
+    assert counts["rename"] > 2000
+    assert counts["drop"] > 300
+    assert counts["eigen"] > 200

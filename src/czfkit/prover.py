@@ -88,7 +88,12 @@ class ProveResult:
 
 
 def desugar(f: Formula) -> Formula:
-    """Bounded quantifiers become guarded unbounded quantifiers."""
+    """Bounded quantifiers become guarded unbounded quantifiers; a binder
+    that occurs in its own bound is renamed first, so the guard does not
+    capture it."""
+    if isinstance(f, (BoundedAll, BoundedEx)) and f.var in f.bound._fv:
+        nv = _fresh(f.var, f.body._fv | f.bound._fv)
+        f = type(f)(nv, f.bound, substitute(f.body, f.var, Var(nv)))
     match f:
         case Falsum() | Eq() | Mem() | ClassMem():
             return f

@@ -5,6 +5,12 @@ finite big conjunctions/disjunctions, and bounded/unbounded quantifiers.
 Negation is sugar: ``~p`` parses to ``p -> false``.  Biconditional ``<->``
 is sugar for the conjunction of both implications.
 
+Every transformer is one traversal: a node's ``_subs()`` are its formula
+children and ``_rebuild(subs)`` is the node of the same kind and other
+fields over new ones.  A transformer writes only the cases it changes and
+passes the rest through ``g._rebuild([go(c) for c in g._subs()])``;
+``subformulas`` walks the same children with an explicit stack.
+
 Terms and formula nodes are hash-consed like ``HFSet`` and ``Name``: a
 module-level weak unique table maps each node's class and fields to its one
 live node, so equal formulas are one object, and equality and hashing are
@@ -133,14 +139,18 @@ Term = Var | Lit
 class _FormulaNode(_Node):
     """A formula node.  ``_PREC`` is the highest operand level at which its
     text needs no parentheses (0 formula, 1 or, 2 and, 3 unary/atom);
-    ``_subs`` are its formula children and ``_bare`` builds its text from
-    their stored text."""
+    ``_subs`` are its formula children, ``_rebuild(subs)`` is the node of
+    the same kind and other fields over new children, and ``_bare`` builds
+    its text from their stored text."""
 
     __slots__ = ()
     _PREC = 3
 
     def _subs(self) -> tuple:
         return ()
+
+    def _rebuild(self, subs) -> "Formula":
+        return self
 
 
 class Falsum(_FormulaNode):
@@ -226,6 +236,9 @@ class _Connective(_Binary):
     def _subs(self) -> tuple:
         return self.left, self.right
 
+    def _rebuild(self, subs) -> "Formula":
+        return type(self)(*subs)
+
     def _bare(self) -> str:
         left_level, right_level = self._LEVELS
         return (_operand(self.left, left_level) + self._OP
@@ -276,6 +289,9 @@ class _BigConnective(_FormulaNode):
     def _subs(self) -> tuple:
         return self.parts
 
+    def _rebuild(self, subs) -> "Formula":
+        return type(self)(tuple(subs))
+
     def _bare(self) -> str:
         return self._WORD + " [" + ", ".join(p._text for p in self.parts) + "]"
 
@@ -311,6 +327,9 @@ class _BoundedQuantifier(_FormulaNode):
     def _subs(self) -> tuple:
         return (self.body,)
 
+    def _rebuild(self, subs) -> "Formula":
+        return type(self)(self.var, self.bound, subs[0])
+
     def _bare(self) -> str:
         return (f"{self._WORD} {self.var} in {self.bound._text}. "
                 + self.body._text)
@@ -345,6 +364,9 @@ class _Quantifier(_FormulaNode):
 
     def _subs(self) -> tuple:
         return (self.body,)
+
+    def _rebuild(self, subs) -> "Formula":
+        return type(self)(self.var, subs[0])
 
     def _bare(self) -> str:
         return f"{self._WORD} {self.var}. {self.body._text}"
@@ -532,9 +554,7 @@ def parse(text: str, forbid_free: bool = False) -> Formula:
 
 def render(f: Formula) -> str:
     """Canonical text; ``parse(render(f))`` is ``f``."""
-    if not isinstance(f, _FormulaNode):
-        raise TypeError(f"not a formula: {f!r}")
-    return _text(f)
+    return _text(_checked(f))
 
 
 def _text(f: Formula) -> str:
@@ -558,11 +578,16 @@ def _text(f: Formula) -> str:
 # -- variables and substitution --------------------------------------------
 
 
-def free_vars(f: Formula) -> set[str]:
-    """A fresh set of the free variables of f, read from its stored ones."""
+def _checked(f):
+    """f itself; a TypeError when f is not a formula."""
     if not isinstance(f, _FormulaNode):
         raise TypeError(f"not a formula: {f!r}")
-    return set(f._fv)
+    return f
+
+
+def free_vars(f: Formula) -> set[str]:
+    """A fresh set of the free variables of f, read from its stored ones."""
+    return set(_checked(f)._fv)
 
 
 def _fresh(base: str, avoid: set[str] | frozenset[str]) -> str:
@@ -576,46 +601,39 @@ def _subst_term(t: Term, v: str, r: Term) -> Term:
     return r if isinstance(t, Var) and t.name == v else t
 
 
+def _rename_binder(q: Formula, avoid: frozenset[str]) -> Formula:
+    """The quantifier q with its variable renamed to a fresh one, free
+    neither in q's body nor in avoid."""
+    new = _fresh(q.var, q.body._fv | avoid)
+    body = substitute(q.body, q.var, Var(new))
+    if isinstance(q, _BoundedQuantifier):
+        return type(q)(new, q.bound, body)
+    return type(q)(new, body)
+
+
 def substitute(f: Formula, v: str, t: Term) -> Formula:
     """Capture-avoiding substitution of term t for free occurrences of v.
     A formula in which v is not free is returned as it is."""
-    match f:
-        case _FormulaNode() if v not in f._fv:
-            return f
-        case Eq(l, r):
-            return Eq(_subst_term(l, v, t), _subst_term(r, v, t))
-        case Mem(l, r):
-            return Mem(_subst_term(l, v, t), _subst_term(r, v, t))
-        case ClassMem(e, c):
-            return ClassMem(_subst_term(e, v, t), c)
-        case And(l, r):
-            return And(substitute(l, v, t), substitute(r, v, t))
-        case Or(l, r):
-            return Or(substitute(l, v, t), substitute(r, v, t))
-        case Imp(l, r):
-            return Imp(substitute(l, v, t), substitute(r, v, t))
-        case BigAnd(parts):
-            return BigAnd(tuple(substitute(p, v, t) for p in parts))
-        case BigOr(parts):
-            return BigOr(tuple(substitute(p, v, t) for p in parts))
-        case BoundedAll(w, b, body) | BoundedEx(w, b, body):
-            cls = type(f)
-            nb = _subst_term(b, v, t)
-            if w == v:
-                return cls(w, nb, body)
-            if w in t._fv and v in body._fv:
-                nw = _fresh(w, body._fv | t._fv | {v})
-                body = substitute(body, w, Var(nw))
-                w = nw
-            return cls(w, nb, substitute(body, v, t))
-        case All(w, body) | Ex(w, body):
-            cls = type(f)
-            if w in t._fv:
-                nw = _fresh(w, body._fv | t._fv | {v})
-                body = substitute(body, w, Var(nw))
-                w = nw
-            return cls(w, substitute(body, v, t))
-    raise TypeError(f"not a formula: {f!r}")
+
+    def go(g):
+        if v not in g._fv:
+            return g
+        if isinstance(g, _TermAtom):
+            return type(g)(_subst_term(g.left, v, t),
+                           _subst_term(g.right, v, t))
+        if isinstance(g, ClassMem):  # v is free, so the element is Var(v)
+            return ClassMem(t, g.cls)
+        if isinstance(g, _BoundedQuantifier) and g.var == v:
+            # v is free in the bound only
+            return type(g)(v, _subst_term(g.bound, v, t), g.body)
+        if isinstance(g, QUANTIFIERS):
+            if g.var in t._fv and v in g.body._fv:
+                g = _rename_binder(g, t._fv | {v})
+            if isinstance(g, _BoundedQuantifier):
+                return type(g)(g.var, _subst_term(g.bound, v, t), go(g.body))
+        return g._rebuild([go(c) for c in g._subs()])
+
+    return go(_checked(f))
 
 
 # -- relativization and boundedness ----------------------------------------
@@ -625,125 +643,78 @@ def relativize(f: Formula, bound: Term | str) -> Formula:
     """Bound every unbounded quantifier to a term or guard it by a class.
 
     For a class identifier C, universal bodies are guarded by implication
-    and existential bodies by conjunction with ``x in C``.
+    and existential bodies by conjunction with ``x in C``.  A binder that
+    occurs in the bound term is renamed where the term is put in its scope.
     """
-    if isinstance(bound, str):
-        for cid in class_ids(f):
-            if cid == bound:
-                raise ValueError(f"formula already mentions class {bound}")
+    by_class = isinstance(bound, str)
+    if by_class and bound in class_ids(f):
+        raise ValueError(f"formula already mentions class {bound}")
+    avoid = _NO_VARS if by_class else bound._fv
 
     def go(g: Formula) -> Formula:
-        match g:
-            case Falsum() | Eq() | Mem() | ClassMem():
-                return g
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Imp(l, r):
-                return Imp(go(l), go(r))
-            case BigAnd(parts):
-                return BigAnd(tuple(go(p) for p in parts))
-            case BigOr(parts):
-                return BigOr(tuple(go(p) for p in parts))
-            case BoundedAll(v, b, body):
-                return BoundedAll(v, b, go(body))
-            case BoundedEx(v, b, body):
-                return BoundedEx(v, b, go(body))
-            case All(v, body):
-                if isinstance(bound, str):
-                    return All(v, Imp(ClassMem(Var(v), bound), go(body)))
-                return BoundedAll(v, bound, go(body))
-            case Ex(v, body):
-                if isinstance(bound, str):
-                    return Ex(v, And(ClassMem(Var(v), bound), go(body)))
-                return BoundedEx(v, bound, go(body))
-        raise TypeError(f"not a formula: {g!r}")
+        if not isinstance(g, QUANTIFIERS):
+            return g._rebuild([go(c) for c in g._subs()])
+        if g.var in avoid and not is_bounded(g.body):
+            g = _rename_binder(g, avoid)
+        v, body = g.var, go(g.body)
+        if isinstance(g, _BoundedQuantifier):
+            return type(g)(v, g.bound, body)
+        if by_class:
+            guard = ClassMem(Var(v), bound)
+            if isinstance(g, All):
+                return All(v, Imp(guard, body))
+            return Ex(v, And(guard, body))
+        quantifier = BoundedAll if isinstance(g, All) else BoundedEx
+        return quantifier(v, bound, body)
 
-    return go(f)
+    return go(_checked(f))
 
 
 def is_bounded(f: Formula) -> bool:
     """True iff f has no unbounded quantifier."""
-    match f:
-        case Falsum() | Eq() | Mem() | ClassMem():
-            return True
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return is_bounded(l) and is_bounded(r)
-        case BigAnd(parts) | BigOr(parts):
-            return all(is_bounded(p) for p in parts)
-        case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-            return is_bounded(body)
-        case All() | Ex():
-            return False
-    raise TypeError(f"not a formula: {f!r}")
+    return not any(isinstance(g, _Quantifier) for g in subformulas(f))
 
 
 def class_ids(f: Formula) -> set[str]:
-    match f:
-        case ClassMem(_, c):
-            return {c}
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return class_ids(l) | class_ids(r)
-        case BigAnd(parts) | BigOr(parts):
-            return set().union(*(class_ids(p) for p in parts))
-        case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-            return class_ids(body)
-        case All(_, body) | Ex(_, body):
-            return class_ids(body)
-        case _:
-            return set()
+    """The class symbols f mentions."""
+    return {g.cls for g in subformulas(f) if isinstance(g, ClassMem)}
 
 
 def subformulas(f: Formula):
-    """All subformulas of f, including f itself (preorder)."""
-    yield f
-    match f:
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-        case BigAnd(parts) | BigOr(parts):
-            for p in parts:
-                yield from subformulas(p)
-        case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-            yield from subformulas(body)
-        case All(_, body) | Ex(_, body):
-            yield from subformulas(body)
+    """All subformulas of f, including f itself (preorder), walked with an
+    explicit stack, so any depth works."""
+    stack = [_checked(f)]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(g._subs()))
 
 
-def alpha_canonical(f: Formula, _depth: int = 0, _ren: dict[str, str] | None = None) -> Formula:
-    """Rename bound variables to a canonical v0,v1,... numbering by depth."""
-    ren = _ren or {}
+def alpha_canonical(f: Formula) -> Formula:
+    """Rename bound variables to a canonical v0,v1,... numbering by depth;
+    a canonical name that is free in f gets primes until it is not."""
 
-    def term(t: Term) -> Term:
-        if isinstance(t, Var) and t.name in ren:
-            return Var(ren[t.name])
-        return t
+    def go(g: Formula, depth: int, ren: dict[str, str]) -> Formula:
+        def term(t: Term) -> Term:
+            if isinstance(t, Var) and t.name in ren:
+                return Var(ren[t.name])
+            return t
 
-    match f:
-        case Falsum():
-            return f
-        case Eq(l, r):
-            return Eq(term(l), term(r))
-        case Mem(l, r):
-            return Mem(term(l), term(r))
-        case ClassMem(e, c):
-            return ClassMem(term(e), c)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            cls = type(f)
-            return cls(alpha_canonical(l, _depth, ren), alpha_canonical(r, _depth, ren))
-        case BigAnd(parts) | BigOr(parts):
-            cls = type(f)
-            return cls(tuple(alpha_canonical(p, _depth, ren) for p in parts))
-        case BoundedAll(v, b, body) | BoundedEx(v, b, body):
-            cls = type(f)
-            nv = f"v{_depth}"
-            return cls(nv, term(b), alpha_canonical(body, _depth + 1, {**ren, v: nv}))
-        case All(v, body) | Ex(v, body):
-            cls = type(f)
-            nv = f"v{_depth}"
-            return cls(nv, alpha_canonical(body, _depth + 1, {**ren, v: nv}))
-    raise TypeError(f"not a formula: {f!r}")
+        if isinstance(g, _TermAtom):
+            return type(g)(term(g.left), term(g.right))
+        if isinstance(g, ClassMem):
+            return ClassMem(term(g.element), g.cls)
+        if isinstance(g, QUANTIFIERS):
+            nv = f"v{depth}"
+            if nv in f._fv:
+                nv = _fresh(nv, f._fv)
+            body = go(g.body, depth + 1, {**ren, g.var: nv})
+            if isinstance(g, _BoundedQuantifier):
+                return type(g)(nv, term(g.bound), body)
+            return type(g)(nv, body)
+        return g._rebuild([go(c, depth, ren) for c in g._subs()])
+
+    return go(_checked(f), 0, {})
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:

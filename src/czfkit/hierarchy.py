@@ -16,8 +16,8 @@ import enum
 from dataclasses import dataclass
 
 from .formula import (
-    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Mem, Or, subformulas,
+    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Ex, Formula,
+    Imp, Or, is_bounded, subformulas,
 )
 
 
@@ -45,26 +45,12 @@ def _check_atoms(f: Formula, extra: frozenset[str]):
                 f"class atom over undeclared symbol {g.cls}; pass it in extra")
 
 
-def _bounded(f: Formula) -> bool:
-    # atoms over declared extra symbols already validated; ClassMem counts
-    # as a bounded atom here
-    match f:
-        case Falsum() | Eq() | Mem() | ClassMem():
-            return True
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return _bounded(l) and _bounded(r)
-        case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-            return _bounded(body)
-        case _:
-            return False
-
-
 def _in_sigma(f: Formula, n: int, memo: dict) -> bool:
     key = (f, Side.SIGMA, n)
     if key in memo:
         return memo[key]
     if n == 0:
-        result = _bounded(f)
+        result = is_bounded(f)
     elif _in_pi(f, n - 1, memo):
         result = True
     else:
@@ -86,7 +72,7 @@ def _in_pi(f: Formula, n: int, memo: dict) -> bool:
     if key in memo:
         return memo[key]
     if n == 0:
-        result = _bounded(f)
+        result = is_bounded(f)
     elif _in_sigma(f, n - 1, memo):
         result = True
     else:

@@ -194,6 +194,10 @@ class Interpreter:
                              "names cannot appear in term position here")
         return val
 
+    # The name a bounded quantifier ranges over; a subclass may reweigh its
+    # entries.  An alias, so plain valuation pays no extra call.
+    _bound_name = term_name
+
     def eq(self, a: Name, b: Name) -> FrameElement:
         key = (a, b)
         if key in self._eq:
@@ -251,12 +255,12 @@ class Interpreter:
             case BigOr(parts):
                 return tp.big_join(t, (self.value(p, env) for p in parts))
             case BoundedAll(v, b, body):
-                bn = self.term_name(b, env)
+                bn = self._bound_name(b, env)
                 return tp.big_meet(
                     t, (tp.implies(t, p, self.value(body, {**env, v: x}))
                         for x, p in bn.entries))
             case BoundedEx(v, b, body):
-                bn = self.term_name(b, env)
+                bn = self._bound_name(b, env)
                 return tp.big_join(
                     t, (tp.meet(t, p, self.value(body, {**env, v: x}))
                         for x, p in bn.entries))

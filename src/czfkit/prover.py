@@ -17,12 +17,13 @@ from __future__ import annotations
 import enum
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
-    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term, Var, _fresh, _text, class_ids,
-    free_vars, render, substitute,
+    QUANTIFIERS, All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq,
+    Ex, Falsum, Formula, Imp, Lit, Mem, Or, Term, Var, _checked,
+    _rename_binder, _text, class_ids, free_vars, render, subformulas,
+    substitute,
 )
 
 
@@ -91,31 +92,14 @@ def desugar(f: Formula) -> Formula:
     """Bounded quantifiers become guarded unbounded quantifiers; a binder
     that occurs in its own bound is renamed first, so the guard does not
     capture it."""
-    if isinstance(f, (BoundedAll, BoundedEx)) and f.var in f.bound._fv:
-        nv = _fresh(f.var, f.body._fv | f.bound._fv)
-        f = type(f)(nv, f.bound, substitute(f.body, f.var, Var(nv)))
-    match f:
-        case Falsum() | Eq() | Mem() | ClassMem():
-            return f
-        case And(l, r):
-            return And(desugar(l), desugar(r))
-        case Or(l, r):
-            return Or(desugar(l), desugar(r))
-        case Imp(l, r):
-            return Imp(desugar(l), desugar(r))
-        case BigAnd(parts):
-            return BigAnd(tuple(desugar(p) for p in parts))
-        case BigOr(parts):
-            return BigOr(tuple(desugar(p) for p in parts))
-        case BoundedAll(v, b, body):
-            return All(v, Imp(Mem(Var(v), b), desugar(body)))
-        case BoundedEx(v, b, body):
-            return Ex(v, And(Mem(Var(v), b), desugar(body)))
-        case All(v, body):
-            return All(v, desugar(body))
-        case Ex(v, body):
-            return Ex(v, desugar(body))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (BoundedAll, BoundedEx)):
+        if f.var in f.bound._fv:
+            f = _rename_binder(f, f.bound._fv)
+        guard = Mem(Var(f.var), f.bound)
+        if isinstance(f, BoundedAll):
+            return All(f.var, Imp(guard, desugar(f.body)))
+        return Ex(f.var, And(guard, desugar(f.body)))
+    return _checked(f)._rebuild([desugar(c) for c in f._subs()])
 
 
 def _is_atom(f: Formula) -> bool:
@@ -132,9 +116,11 @@ def _terms_in(s: Sequent) -> list[Term]:
     names: set[str] = set()
     lits: dict[str, Lit] = {}
     for f in s.left + s.right:
-        names |= free_vars(f)
-        for g in _walk(f):
-            for t in _atom_terms(g):
+        names |= f._fv
+        # a literal is a side of an atom or the bound of a quantifier
+        for g in subformulas(f):
+            for attr in g.__match_args__:
+                t = getattr(g, attr)
                 if isinstance(t, Lit):
                     lits.setdefault(str(t.value), t)
     terms: list[Term] = [Var(n) for n in sorted(names)]
@@ -144,40 +130,12 @@ def _terms_in(s: Sequent) -> list[Term]:
     return terms
 
 
-def _walk(f: Formula):
-    yield f
-    match f:
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            yield from _walk(l)
-            yield from _walk(r)
-        case BigAnd(parts) | BigOr(parts):
-            for p in parts:
-                yield from _walk(p)
-        case BoundedAll(_, _, body) | BoundedEx(_, _, body) \
-                | All(_, body) | Ex(_, body):
-            yield from _walk(body)
-
-
-def _atom_terms(f: Formula):
-    match f:
-        case Eq(l, r) | Mem(l, r):
-            return [l, r]
-        case ClassMem(t, _):
-            return [t]
-        case BoundedAll(_, b, _) | BoundedEx(_, b, _):
-            return [b]
-    return []
-
-
 def _fresh_var(s: Sequent) -> str:
     used: set[str] = set()
     for f in s.left + s.right:
-        used |= free_vars(f)
-        for g in _walk(f):
-            match g:
-                case BoundedAll(v, _, _) | BoundedEx(v, _, _) \
-                        | All(v, _) | Ex(v, _):
-                    used.add(v)
+        used |= f._fv
+        used.update(g.var for g in subformulas(f)
+                    if isinstance(g, QUANTIFIERS))
     i = 1
     while f"v{i}" in used:
         i += 1
@@ -277,22 +235,25 @@ class _Search:
                 for p in f.parts:
                     if p not in d:
                         yield ("R-bigor", [Sequent.make(g, d + (p,))])
-        terms = _terms_in(s)
-        for f in d:
-            if isinstance(f, Ex):
-                for t in terms:
-                    inst = substitute(f.body, f.var, t)
-                    if inst not in d:
-                        yield ("R-ex", [Sequent.make(g, d + (inst,))])
-        for f in g:
-            if isinstance(f, All):
-                for t in terms:
-                    inst = substitute(f.body, f.var, t)
-                    if inst not in g:
-                        yield ("L-all", [Sequent.make(g + (inst,), d)])
+        # instances need the sequent's terms, which only these rules use
+        if any(isinstance(f, Ex) for f in d) \
+                or any(isinstance(f, All) for f in g):
+            terms = _terms_in(s)
+            for f in d:
+                if isinstance(f, Ex):
+                    for t in terms:
+                        inst = substitute(f.body, f.var, t)
+                        if inst not in d:
+                            yield ("R-ex", [Sequent.make(g, d + (inst,))])
+            for f in g:
+                if isinstance(f, All):
+                    for t in terms:
+                        inst = substitute(f.body, f.var, t)
+                        if inst not in g:
+                            yield ("L-all", [Sequent.make(g + (inst,), d)])
         if self.allow_cut:
             for f in itertools.chain(g, d):
-                for sub in _walk(f):
+                for sub in subformulas(f):
                     if sub not in g and sub not in d:
                         yield ("cut", [Sequent.make(g, d + (sub,)),
                                        Sequent.make(g + (sub,), d)])
@@ -374,44 +335,21 @@ class CheckReport:
     subformula_property: bool = True
 
 
-def _skeleton(f: Formula, depth: int = 0, ren: dict | None = None) -> str:
-    """Shape of a formula with all terms erased and bound variables
-    numbered, so instantiating a quantifier body preserves the skeleton."""
-    ren = ren or {}
+_HOLE = Var("_")
 
-    def term(t):
-        return "*"
 
-    match f:
-        case Falsum():
-            return "false"
-        case Eq(l, r):
-            return f"eq({term(l)},{term(r)})"
-        case Mem(l, r):
-            return f"mem({term(l)},{term(r)})"
-        case ClassMem(t, cls):
-            return f"cls({term(t)},{cls})"
-        case And(l, r):
-            return f"and({_skeleton(l, depth, ren)},{_skeleton(r, depth, ren)})"
-        case Or(l, r):
-            return f"or({_skeleton(l, depth, ren)},{_skeleton(r, depth, ren)})"
-        case Imp(l, r):
-            return f"imp({_skeleton(l, depth, ren)},{_skeleton(r, depth, ren)})"
-        case BigAnd(parts):
-            inner = ",".join(_skeleton(p, depth, ren) for p in parts)
-            return f"bigand({inner})"
-        case BigOr(parts):
-            inner = ",".join(_skeleton(p, depth, ren) for p in parts)
-            return f"bigor({inner})"
-        case All(v, body):
-            return f"all({_skeleton(body, depth + 1, ren)})"
-        case Ex(v, body):
-            return f"ex({_skeleton(body, depth + 1, ren)})"
-        case BoundedAll(v, b, body):
-            return f"ball({_skeleton(body, depth + 1, ren)})"
-        case BoundedEx(v, b, body):
-            return f"bex({_skeleton(body, depth + 1, ren)})"
-    raise TypeError(f"not a formula: {f!r}")
+def _skeleton(f: Formula) -> Formula:
+    """f with every term and bound variable erased, so instantiating a
+    quantifier body keeps the skeleton."""
+    if isinstance(f, (Eq, Mem)):
+        return type(f)(_HOLE, _HOLE)
+    if isinstance(f, ClassMem):
+        return ClassMem(_HOLE, f.cls)
+    if isinstance(f, (BoundedAll, BoundedEx)):
+        return type(f)("_", _HOLE, _skeleton(f.body))
+    if isinstance(f, (All, Ex)):
+        return type(f)("_", _skeleton(f.body))
+    return f._rebuild([_skeleton(c) for c in f._subs()])
 
 
 def _node_instances(s: Sequent, logic: Logic):
@@ -481,9 +419,7 @@ def _matches_eigen(kind, f, g, d, premise: Sequent, logic: Logic) -> bool:
     it from the premise by trying every candidate.  An eigenvariable must
     not occur free in the conclusion: neither in the principal formula nor
     in the side formulas."""
-    candidates: list[Term] = list(_terms_in(premise))
-    for v in range(1, 40):
-        candidates.append(Var(f"v{v}"))
+    candidates = _terms_in(premise) + [Var(f"v{v}") for v in range(1, 40)]
     conclusion_vars = set().union(*map(free_vars, (f,) + g + d))
     seen = set()
     for t in candidates:
@@ -552,10 +488,8 @@ def check_derivation(d: Derivation, logic: Logic = Logic.INTUITIONISTIC,
                      allow_cut: bool = False) -> CheckReport:
     """Validates every node against the rule table and reports whether all
     formulas in the tree are subformula instances of the endsequent."""
-    skeletons: set[str] = set()
-    for f in d.conclusion.left + d.conclusion.right:
-        for sub in _walk(f):
-            skeletons.add(_skeleton(sub))
+    skeletons = {_skeleton(sub) for f in d.conclusion.left + d.conclusion.right
+                 for sub in subformulas(f)}
     sub_ok = True
     looked_up: set[Formula] = set()  # formulas are hash-consed
     stack = [d]
@@ -592,44 +526,20 @@ def _comprehension_shape(f: Formula):
 
 
 def _replace_class(f: Formula, cls: str, var: str, body: Formula) -> Formula:
-    match f:
-        case ClassMem(t, c) if c == cls:
-            return substitute(body, var, t)
-        case Falsum() | Eq() | Mem() | ClassMem():
-            return f
-        case And(l, r):
-            return And(_replace_class(l, cls, var, body),
-                       _replace_class(r, cls, var, body))
-        case Or(l, r):
-            return Or(_replace_class(l, cls, var, body),
-                      _replace_class(r, cls, var, body))
-        case Imp(l, r):
-            return Imp(_replace_class(l, cls, var, body),
-                       _replace_class(r, cls, var, body))
-        case BigAnd(parts):
-            return BigAnd(tuple(_replace_class(p, cls, var, body)
-                                for p in parts))
-        case BigOr(parts):
-            return BigOr(tuple(_replace_class(p, cls, var, body)
-                               for p in parts))
-        case BoundedAll(v, b, bd) | BoundedEx(v, b, bd):
-            v, bd = _avoid_capture(v, bd, cls, var, body)
-            return type(f)(v, b, _replace_class(bd, cls, var, body))
-        case All(v, bd) | Ex(v, bd):
-            v, bd = _avoid_capture(v, bd, cls, var, body)
-            return type(f)(v, _replace_class(bd, cls, var, body))
-    raise TypeError(f"not a formula: {f!r}")
+    """f with each atom ``t in cls`` replaced by body with t for var.  A
+    binder is renamed when it would capture a parameter of body that
+    replaces an atom in its scope."""
+    params = body._fv - {var}
 
+    def go(g: Formula) -> Formula:
+        if isinstance(g, ClassMem) and g.cls == cls:
+            return substitute(body, var, g.element)
+        if isinstance(g, QUANTIFIERS) and g.var in params \
+                and cls in class_ids(g.body):
+            g = _rename_binder(g, params | {var})
+        return g._rebuild([go(c) for c in g._subs()])
 
-def _avoid_capture(v: str, bd: Formula, cls: str, var: str,
-                   body: Formula) -> tuple[str, Formula]:
-    """Renames the binder v of scope bd when it would capture a parameter
-    of the class body that replaces the atoms of cls inside bd."""
-    params = free_vars(body) - {var}
-    if v not in params or cls not in class_ids(bd):
-        return v, bd
-    nv = _fresh(v, params | free_vars(bd) | {var})
-    return nv, substitute(bd, v, Var(nv))
+    return go(f)
 
 
 def eliminate_classes(axioms: list[Formula],
@@ -650,22 +560,11 @@ def eliminate_classes(axioms: list[Formula],
                 raise ClassEliminationError(
                     f"comprehension body for {cls} mentions a class symbol")
             defs.setdefault(cls, (v, phi))
-    all_cls = set()
-    for f in axioms + [goal]:
-        all_cls |= class_ids(f)
-    undefined = sorted(all_cls - set(defs))
-    for cls in undefined:
-        x = Var("x")
-        defs[cls] = ("x", Eq(x, x))
-    out_axioms = []
-    for a in axioms:
-        for cls, (v, phi) in defs.items():
-            a = _replace_class(a, cls, v, phi)
-        out_axioms.append(a)
-    g = goal
+    out = axioms + [goal]
+    for cls in sorted(set().union(*map(class_ids, out)) - set(defs)):
+        defs[cls] = ("x", Eq(Var("x"), Var("x")))
     for cls, (v, phi) in defs.items():
-        g = _replace_class(g, cls, v, phi)
-    for f in out_axioms + [g]:
-        if class_ids(f):
-            raise ClassEliminationError("class atoms survived elimination")
-    return out_axioms, g
+        out = [_replace_class(f, cls, v, phi) for f in out]
+    if any(map(class_ids, out)):
+        raise ClassEliminationError("class atoms survived elimination")
+    return out[:-1], out[-1]

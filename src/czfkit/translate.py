@@ -1,10 +1,14 @@
 """The double-negation translation and its semantic form.
 
-Two modes: the syntactic Goedel-Gentzen translation wraps atoms,
-disjunctions and existentials in double negations and leaves the other
-connectives alone; the semantic mode evaluates atoms by forcing over the
-double-negation topology and combines the results with classical truth
-functions, which is what the translation denotes there.
+Two modes: the syntactic Goedel-Gentzen translation, a formula
+transformer, wraps atoms, disjunctions and existentials in double negations
+and leaves the other connectives alone; the semantic mode evaluates atoms
+by forcing over the double-negation topology and combines the results with
+classical truth functions, which is what the translation denotes there.
+That is the fold of ``names.Interpreter.value`` into the two-element frame
+with atom values and bounded-quantifier weights rounded to top or bottom;
+in a nontrivial frame {bottom, top} is a subframe closed under every
+operation of the fold (Fourman and Scott, "Sheaves and logic", 1979).
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ import enum
 
 from . import topology as tp
 from .formula import (
-    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Mem, Or, neg,
+    BigOr, BoundedEx, ClassMem, Eq, Ex, Formula, Mem, Or, _checked, neg,
 )
-from .names import Interpreter, NameUniverse
+from .names import ClassName, Interpreter, Name, NameUniverse
 
 
 class AtomicMode(enum.Enum):
@@ -45,71 +48,51 @@ def dn_translate(f: Formula, mode: AtomicMode = AtomicMode.GOEDEL_GENTZEN,
 
 def _gg(f: Formula) -> Formula:
     """The Goedel-Gentzen translation as a formula transformer."""
-    match f:
-        case Falsum():
-            return f
-        case Eq() | Mem() | ClassMem():
-            return _dneg(f)
-        case And(l, r):
-            return And(_gg(l), _gg(r))
-        case Or(l, r):
-            return _dneg(Or(_gg(l), _gg(r)))
-        case Imp(l, r):
-            return Imp(_gg(l), _gg(r))
-        case BigAnd(parts):
-            return BigAnd(tuple(_gg(p) for p in parts))
-        case BigOr(parts):
-            return _dneg(BigOr(tuple(_gg(p) for p in parts)))
-        case BoundedAll(v, b, body):
-            return BoundedAll(v, b, _gg(body))
-        case BoundedEx(v, b, body):
-            return _dneg(BoundedEx(v, b, _gg(body)))
-        case All(v, body):
-            return All(v, _gg(body))
-        case Ex(v, body):
-            return _dneg(Ex(v, body=_gg(body)))
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (Eq, Mem, ClassMem)):
+        return _dneg(f)
+    g = _checked(f)._rebuild([_gg(c) for c in f._subs()])
+    return _dneg(g) if isinstance(f, (Or, BigOr, BoundedEx, Ex)) else g
+
+
+_TWO = tp.omega()  # its frame is the two-element Boolean algebra
+
+
+class _Rounded(Interpreter):
+    """The forcing fold of ``it`` into the two-element frame, an atom being
+    top there exactly when its value under ``it`` is top.  A bounded
+    quantifier ranges over the entries of full weight, as an entry of
+    weight bottom adds nothing to its meet or join."""
+
+    def __init__(self, it: Interpreter):
+        self.u, self.t, self._it, self._top = it.u, _TWO, it, tp.top(it.t)
+
+    def _round(self, p: tp.FrameElement) -> tp.FrameElement:
+        return tp.top(_TWO) if p == self._top else tp.bottom(_TWO)
+
+    def term_name(self, term, env: dict) -> Name:
+        return self._it.term_name(term, env)
+
+    def eq(self, a: Name, b: Name) -> tp.FrameElement:
+        return self._round(self._it.eq(a, b))
+
+    def mem(self, a: Name, b: Name) -> tp.FrameElement:
+        return self._round(self._it.mem(a, b))
+
+    def class_mem(self, a: Name, cls: ClassName) -> tp.FrameElement:
+        return self._round(self._it.class_mem(a, cls))
+
+    def _bound_name(self, term, env: dict) -> Name:
+        return Name((x, tp.top(_TWO))
+                    for x, p in self.term_name(term, env).entries
+                    if p == self._top)
 
 
 def semantic_translate(f: Formula, env: dict | None,
                        it: Interpreter) -> bool:
     """Classical truth of the translated formula: atoms become "forced with
-    top value", the connectives and quantifiers are read classically."""
-    env = env or {}
-    top = tp.top(it.t)
-    match f:
-        case Falsum():
-            return False
-        case Eq() | Mem() | ClassMem():
-            return it.value(f, env) == top
-        case And(l, r):
-            return (semantic_translate(l, env, it)
-                    and semantic_translate(r, env, it))
-        case Or(l, r):
-            return (semantic_translate(l, env, it)
-                    or semantic_translate(r, env, it))
-        case Imp(l, r):
-            return ((not semantic_translate(l, env, it))
-                    or semantic_translate(r, env, it))
-        case BigAnd(parts):
-            return all(semantic_translate(p, env, it) for p in parts)
-        case BigOr(parts):
-            return any(semantic_translate(p, env, it) for p in parts)
-        case BoundedAll(v, b, body):
-            bn = it.term_name(b, env)
-            return all(semantic_translate(body, {**env, v: x}, it)
-                       for x, p in bn.entries if p == top)
-        case BoundedEx(v, b, body):
-            bn = it.term_name(b, env)
-            return any(semantic_translate(body, {**env, v: x}, it)
-                       for x, p in bn.entries if p == top)
-        case All(v, body):
-            return all(semantic_translate(body, {**env, v: n}, it)
-                       for n in it.u.names)
-        case Ex(v, body):
-            return any(semantic_translate(body, {**env, v: n}, it)
-                       for n in it.u.names)
-    raise TypeError(f"not a formula: {f!r}")
+    top value", the connectives and quantifiers are read classically, by
+    the forcing fold into the two-element frame."""
+    return _Rounded(it).value(f, env) == tp.top(_TWO)
 
 
 def semantic_coincidence_check(f: Formula, env: dict | None,

@@ -9,8 +9,9 @@ from czfkit import formula, hf
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    FormulaSyntaxError, Imp, Lit, Mem, Or, Var, alpha_eq, class_ids,
-    free_vars, is_bounded, neg, parse, relativize, render, substitute,
+    FormulaSyntaxError, Imp, Lit, Mem, Or, Var, _FormulaNode, alpha_canonical,
+    alpha_eq, class_ids, free_vars, is_bounded, neg, parse, relativize,
+    render, subformulas, substitute,
 )
 
 
@@ -155,6 +156,24 @@ def test_alpha_eq():
     assert not alpha_eq(parse("all x. x = x"), parse("all y. y in y"))
     assert alpha_eq(parse("ex x in a. all y in x. y in b"),
                     parse("ex u in a. all v in u. v in b"))
+    assert not alpha_eq(parse("all x. x = v0"), parse("all y. y = y"))
+
+
+def test_alpha_canonical_names_avoid_free_variables():
+    assert alpha_canonical(parse("all x. x = v0")) == \
+        parse("all v0'. v0' = v0")
+    assert alpha_canonical(parse("ex x in v1. all y. y in x")) == \
+        parse("ex v0 in v1. all v1'. v1' in v0")
+
+
+def test_relativize_renames_binders_of_the_bound_term():
+    assert relativize(parse("all x. all y. y in x"), Var("x")) == \
+        parse("all x' in x. all y in x. y in x'")
+    assert relativize(parse("ex x in a. all y. y in x"), Var("x")) == \
+        parse("ex x' in a. all y in x. y in x'")
+    # no unbounded quantifier in scope: the binder keeps its name
+    assert relativize(parse("all x. x in x"), Var("x")) == \
+        parse("all x in x. x in x")
 
 
 # -- hash-consing ------------------------------------------------------------
@@ -301,6 +320,52 @@ def test_deep_formulas_render_and_parse_errors():
         parse("~" * 3000 + "x = x")
     with pytest.raises(FormulaSyntaxError, match="^nested too deeply$"):
         parse("x = " + "{" * 3000 + "}" * 3000)
+
+
+def test_deep_formulas_walk():
+    f = Eq(Var("x"), Var("x"))
+    for i in range(3000):
+        f = And(f, ClassMem(Var("x"), f"C{i % 3}"))
+    assert sum(1 for _ in subformulas(f)) == 6001
+    assert is_bounded(f)
+    assert class_ids(f) == {"C0", "C1", "C2"}
+
+
+# -- the traversal protocol --------------------------------------------------
+
+PROTOCOL_EXAMPLE = parse(
+    "bigand [x = y, x in {}, x in C, false] | bigor [false] "
+    "& (false -> all z. ex w. all u in z. ex v in u. v = w)")
+
+
+def _concrete_formula_classes():
+    out, todo = set(), [_FormulaNode]
+    while todo:
+        cls = todo.pop()
+        if not cls.__name__.startswith("_"):
+            out.add(cls)
+        todo += cls.__subclasses__()
+    return out
+
+
+def test_every_node_kind_rebuilds_from_its_children():
+    nodes = list(subformulas(PROTOCOL_EXAMPLE))
+    # a new node kind needs an example here, and _subs/_rebuild
+    assert {type(g) for g in nodes} == _concrete_formula_classes()
+    for g in nodes:
+        assert g._rebuild(g._subs()) is g
+        new = tuple(Falsum() for _ in g._subs())
+        rebuilt = g._rebuild(new)
+        assert type(rebuilt) is type(g) and rebuilt._subs() == new
+
+
+def test_subformulas_is_preorder():
+    f = parse("(x = x -> y = y) & ~(ex z. z in x)")
+    assert [render(g) for g in subformulas(f)] == [
+        "(x = x -> y = y) & ~(ex z. z in x)", "x = x -> y = y", "x = x",
+        "y = y", "~(ex z. z in x)", "ex z. z in x", "z in x", "false"]
+    with pytest.raises(TypeError):
+        list(subformulas(Var("x")))
 
 
 def _key(f):

@@ -7,7 +7,7 @@ unbounded quantifiers over V_3 agree with their guarded forms.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from czfkit import hf
 from czfkit import topology as tp
@@ -70,6 +70,16 @@ def test_relativize_to_a_variable_keeps_truth(f, env):
     assert is_bounded(g)
     # bounded, so the ambient universe no longer matters
     assert satisfies(hf.EMPTY, g, {**env, "p": U}) == satisfies(U, f, env)
+
+
+@PROPERTY
+@given(formulas, binders, envs)
+def test_relativize_to_a_bound_name_keeps_truth(f, p, env):
+    # p may be bound inside f, and those binders must not capture the bound
+    assume(p not in free_vars(f))
+    g = relativize(f, Var(p))
+    assert is_bounded(g)
+    assert satisfies(hf.EMPTY, g, {**env, p: U}) == satisfies(U, f, env)
 
 
 @PROPERTY

@@ -4,12 +4,12 @@ from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
     And, Ex, Falsum, Imp, Or, free_vars, neg, parse, render, subformulas,
 )
-from czfkit.names import check_name, name_universe
+from czfkit.names import Interpreter, check_name, name_universe
 from czfkit.prover import Logic, Outcome, prove_formula
 from czfkit.translate import (
     AtomicMode, dn_translate, semantic_coincidence_check, semantic_translate,
 )
-from czfkit.topology import from_poset, omega
+from czfkit.topology import FormalTopology, from_poset, omega, validate
 from czfkit import hf
 
 
@@ -110,3 +110,27 @@ def test_coincidence_requires_dn_topology():
     with pytest.raises(ValueError):
         semantic_coincidence_check(parse("x = x"),
                                    {"x": chain.names[0]}, chain)
+
+
+def test_semantic_mode_reads_connectives_classically_in_the_trivial_frame():
+    # one token covered by the empty set: bottom is top, and every atom is
+    # forced with top value, yet false stays false and ~(x = x) too
+    cover = {("a", frozenset()): True, ("a", frozenset({"a"})): True}
+    trivial = FormalTopology(("a",), frozenset({("a", "a")}), cover)
+    assert validate(trivial) == []
+    u = name_universe(trivial, 1)
+    env = {"x": u.names[0]}
+    it = Interpreter(u)
+    assert semantic_translate(parse("false"), env, it) is False
+    assert semantic_translate(parse("~(x = x)"), env, it) is False
+    assert semantic_translate(parse("x = x & ex y. y in x"), env, it) is True
+
+
+def test_semantic_mode_checks_every_operand():
+    u = name_universe(omega(), 1)
+    env = {"x": u.names[0]}
+    it = Interpreter(u)
+    # the left operand alone decides the truth value, but the class symbol
+    # in the right one is unbound
+    with pytest.raises(ValueError, match="class symbol M"):
+        semantic_translate(parse("x = x | x in M"), env, it)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import hf
 from .formula import (
     And, BigAnd, BigOr, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit,
-    Mem, Or, Term, Var, free_vars, is_bounded,
+    Mem, Or, Term, Var, _rename_binder, free_vars, is_bounded,
 )
 from .hf import EMPTY, HFSet, BudgetExceeded
 
@@ -316,6 +316,10 @@ class _Compiler:
                     acc = _bunion(acc, self.compile(part, slots, ctx))
                 return acc
             case BoundedEx(v, b, body) | BoundedAll(v, b, body):
+                if v in b._fv:
+                    # the guard is built in v's scope, which would capture b
+                    f = _rename_binder(f, b._fv)
+                    v, body = f.var, f.body
                 if isinstance(b, Lit):
                     slot = self.literal(b.value)
                     inner = body

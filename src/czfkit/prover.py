@@ -10,6 +10,11 @@ with memoized failures and an ancestor check against looping, so the
 outcome distinguishes refutation within the search space from running out
 of budget.  Bounded quantifiers are expanded to guarded unbounded ones on
 entry.  Finite conjunctions and disjunctions are handled natively.
+
+Each rule is written once, in ``_RULES``: the side and node class of its
+principal formula and a function that builds the premises of each instance.
+The search reads the table in a fixed order per logic; ``check_derivation``
+reads only the entry for each node's own rule.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ class Derivation:
         lines = [" " * indent + f"{self.rule}: {self.conclusion.render()}"]
         for p in self.premises:
             lines.append(p.render(indent + 2))
-        return "\n".join(lines) if indent else "\n".join(lines)
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,6 @@ def desugar(f: Formula) -> Formula:
             return All(f.var, Imp(guard, desugar(f.body)))
         return Ex(f.var, And(guard, desugar(f.body)))
     return _checked(f)._rebuild([desugar(c) for c in f._subs()])
-
-
-def _is_atom(f: Formula) -> bool:
-    return isinstance(f, (Eq, Mem, ClassMem))
 
 
 def _minus(pool: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
@@ -142,11 +143,92 @@ def _fresh_var(s: Sequent) -> str:
     return f"v{i}"
 
 
+# -- the rule table ----------------------------------------------------------
+#
+# Each rule maps to (side, class, witness, build).  The principal formula is
+# an instance of class on side 0 (antecedent) or 1 (succedent).  witness is
+# None, _EIGEN for a variable free nowhere in the conclusion, or _TERM for
+# any term.  build(f, g, d, classical, t) lists the premises of each instance
+# with principal formula f in g => d and witness t.
+
+
+_ATOMS = (Eq, Mem, ClassMem)
+_EIGEN, _TERM = "eigen", "term"
+
+
+def _inst(f: Formula, t: Term) -> Formula:
+    return substitute(f.body, f.var, t)
+
+
+def _kept(d: tuple[Formula, ...], f: Formula, classical: bool):
+    """The side formulas of a right rule that discards the rest of the
+    succedent intuitionistically."""
+    return _minus(d, f) if classical else ()
+
+
+_RULES = {
+    "init": (0, _ATOMS, None, lambda f, g, d, cl, t: [()] if f in d else []),
+    "L-false": (0, Falsum, None, lambda f, g, d, cl, t: [()]),
+    "L-and": (0, And, None, lambda f, g, d, cl, t: [(
+        Sequent.make(_minus(g, f) + (f.left, f.right), d),)]),
+    "R-or": (1, Or, None, lambda f, g, d, cl, t: [(
+        Sequent.make(g, _minus(d, f) + (f.left, f.right)),)]),
+    "L-ex": (0, Ex, _EIGEN, lambda f, g, d, cl, t: [(
+        Sequent.make(_minus(g, f) + (_inst(f, t),), d),)]),
+    "L-bigor": (0, BigOr, None, lambda f, g, d, cl, t: [tuple(
+        Sequent.make(_minus(g, f) + (p,), d) for p in f.parts)]),
+    "L-or": (0, Or, None, lambda f, g, d, cl, t: [(
+        Sequent.make(_minus(g, f) + (f.left,), d),
+        Sequent.make(_minus(g, f) + (f.right,), d))]),
+    "R-and": (1, And, None, lambda f, g, d, cl, t: [(
+        Sequent.make(g, _minus(d, f) + (f.left,)),
+        Sequent.make(g, _minus(d, f) + (f.right,)))]),
+    "R-bigand": (1, BigAnd, None, lambda f, g, d, cl, t: [tuple(
+        Sequent.make(g, _kept(d, f, cl) + (p,)) for p in f.parts)]),
+    "R-imp": (1, Imp, None, lambda f, g, d, cl, t: [(
+        Sequent.make(g + (f.left,), _kept(d, f, cl) + (f.right,)),)]),
+    # intuitionistically the principal formula stays in the first premise
+    "L-imp": (0, Imp, None, lambda f, g, d, cl, t: [(
+        Sequent.make(_minus(g, f) if cl else g, d + (f.left,)),
+        Sequent.make(_minus(g, f) + (f.right,), d))]),
+    "R-all": (1, All, _EIGEN, lambda f, g, d, cl, t: [(
+        Sequent.make(g, _kept(d, f, cl) + (_inst(f, t),)),)]),
+    "L-bigand": (0, BigAnd, None, lambda f, g, d, cl, t: [
+        (Sequent.make(g + (p,), d),) for p in f.parts]),
+    "R-bigor": (1, BigOr, None, lambda f, g, d, cl, t: [
+        (Sequent.make(g, d + (p,)),) for p in f.parts]),
+    "R-ex": (1, Ex, _TERM, lambda f, g, d, cl, t: [(
+        Sequent.make(g, d + (_inst(f, t),)),)]),
+    "L-all": (0, All, _TERM, lambda f, g, d, cl, t: [(
+        Sequent.make(g + (_inst(f, t),), d),)]),
+}
+
+
+def _cut(g, d, a: Formula) -> tuple[Sequent, Sequent]:
+    return Sequent.make(g, d + (a,)), Sequent.make(g + (a,), d)
+
+
+def _order(*rules: str):
+    return tuple((rule,) + _RULES[rule] for rule in rules)
+
+
+_INVERTIBLE = ("L-and", "R-or", "L-ex", "L-bigor", "L-or", "R-and")
+_CHOICE = ("R-imp", "L-imp", "R-all", "L-bigand", "R-bigor", "R-ex", "L-all")
+# The search tries only the first invertible rule that applies, and every
+# instance of the choice rules.  R-bigand is invertible only classically.
+_SEARCH_ORDER = {
+    Logic.CLASSICAL: (_order(*_INVERTIBLE, "R-bigand"), _order(*_CHOICE)),
+    Logic.INTUITIONISTIC: (_order(*_INVERTIBLE),
+                           _order(*_CHOICE[:3], "R-bigand", *_CHOICE[3:])),
+}
+
+
 class _Search:
     MAX_DEPTH = 250
 
     def __init__(self, logic: Logic, budget: int, allow_cut: bool):
-        self.logic = logic
+        self.classical = logic is Logic.CLASSICAL
+        self.invertible, self.choice = _SEARCH_ORDER[logic]
         self.budget = budget
         self.allow_cut = allow_cut
         self.expanded = 0
@@ -155,111 +237,42 @@ class _Search:
         self.loop_hits = 0
         self.memo_hits = 0
 
-    def _moves(self, s: Sequent):
-        """Yields (rule, premises) backward moves, most constrained first."""
-        classical = self.logic is Logic.CLASSICAL
-        g, d = s.left, s.right
-        # non-branching invertible rules
-        for f in g:
-            if isinstance(f, And):
-                yield ("L-and", [Sequent.make(_minus(g, f) + (f.left, f.right), d)])
-                return
-        for f in d:
-            if isinstance(f, Or):
-                yield ("R-or", [Sequent.make(g, _minus(d, f) + (f.left, f.right))])
-                return
-        for f in g:
-            if isinstance(f, Ex):
-                fresh = _fresh_var(s)
-                body = substitute(f.body, f.var, Var(fresh))
-                yield ("L-ex", [Sequent.make(_minus(g, f) + (body,), d)])
-                return
-        for f in g:
-            if isinstance(f, BigOr):
-                yield ("L-bigor", [Sequent.make(_minus(g, f) + (p,), d)
-                                   for p in f.parts])
-                return
-        # branching invertible rules
-        for f in g:
-            if isinstance(f, Or):
-                yield ("L-or", [Sequent.make(_minus(g, f) + (f.left,), d),
-                                Sequent.make(_minus(g, f) + (f.right,), d)])
-                return
-        for f in d:
-            if isinstance(f, And):
-                yield ("R-and", [Sequent.make(g, _minus(d, f) + (f.left,)),
-                                 Sequent.make(g, _minus(d, f) + (f.right,))])
-                return
-        if classical:
-            for f in d:
-                if isinstance(f, BigAnd):
-                    yield ("R-bigand", [Sequent.make(g, _minus(d, f) + (p,))
-                                        for p in f.parts])
+    def _steps(self, s: Sequent):
+        """Yields (rule, premises) backward steps in search order.  A
+        one-premise step whose premise is s itself is skipped."""
+        g, d = sides = s.left, s.right
+        classical = self.classical
+        for rule, side, cls, witness, build in self.invertible:
+            for f in sides[side]:
+                if isinstance(f, cls):
+                    t = Var(_fresh_var(s)) if witness else None
+                    for premises in build(f, g, d, classical, t):
+                        yield rule, premises
                     return
-        # choice rules; all alternatives offered
-        for f in d:
-            if isinstance(f, Imp):
-                if classical:
-                    yield ("R-imp", [Sequent.make(g + (f.left,),
-                                                  _minus(d, f) + (f.right,))])
+        terms = None
+        for rule, side, cls, witness, build in self.choice:
+            for f in sides[side]:
+                if not isinstance(f, cls):
+                    continue
+                if witness is _TERM:
+                    # only these rules need the sequent's terms
+                    terms = witnesses = terms or _terms_in(s)
+                elif witness:
+                    witnesses = (Var(_fresh_var(s)),)
                 else:
-                    yield ("R-imp", [Sequent.make(g + (f.left,), (f.right,))])
-        for f in g:
-            if isinstance(f, Imp):
-                if classical:
-                    yield ("L-imp", [Sequent.make(_minus(g, f), d + (f.left,)),
-                                     Sequent.make(_minus(g, f) + (f.right,), d)])
-                else:
-                    yield ("L-imp", [Sequent.make(g, d + (f.left,)),
-                                     Sequent.make(_minus(g, f) + (f.right,), d)])
-        for f in d:
-            if isinstance(f, All):
-                fresh = _fresh_var(s)
-                body = substitute(f.body, f.var, Var(fresh))
-                if classical:
-                    yield ("R-all", [Sequent.make(g, _minus(d, f) + (body,))])
-                else:
-                    yield ("R-all", [Sequent.make(g, (body,))])
-        if not classical:
-            for f in d:
-                if isinstance(f, BigAnd):
-                    yield ("R-bigand", [Sequent.make(g, (p,))
-                                        for p in f.parts])
-        for f in g:
-            if isinstance(f, BigAnd):
-                for p in f.parts:
-                    if p not in g:
-                        yield ("L-bigand", [Sequent.make(g + (p,), d)])
-        for f in d:
-            if isinstance(f, BigOr):
-                for p in f.parts:
-                    if p not in d:
-                        yield ("R-bigor", [Sequent.make(g, d + (p,))])
-        # instances need the sequent's terms, which only these rules use
-        if any(isinstance(f, Ex) for f in d) \
-                or any(isinstance(f, All) for f in g):
-            terms = _terms_in(s)
-            for f in d:
-                if isinstance(f, Ex):
-                    for t in terms:
-                        inst = substitute(f.body, f.var, t)
-                        if inst not in d:
-                            yield ("R-ex", [Sequent.make(g, d + (inst,))])
-            for f in g:
-                if isinstance(f, All):
-                    for t in terms:
-                        inst = substitute(f.body, f.var, t)
-                        if inst not in g:
-                            yield ("L-all", [Sequent.make(g + (inst,), d)])
+                    witnesses = (None,)
+                for t in witnesses:
+                    for premises in build(f, g, d, classical, t):
+                        if len(premises) != 1 or premises[0] != s:
+                            yield rule, premises
         if self.allow_cut:
             for f in itertools.chain(g, d):
                 for sub in subformulas(f):
                     if sub not in g and sub not in d:
-                        yield ("cut", [Sequent.make(g, d + (sub,)),
-                                       Sequent.make(g + (sub,), d)])
+                        yield "cut", _cut(g, d, sub)
 
     def prove(self, s: Sequent, ancestors: frozenset[Sequent]) -> Derivation | None:
-        if any(_is_atom(f) and f in s.right for f in s.left):
+        if any(isinstance(f, _ATOMS) and f in s.right for f in s.left):
             return Derivation("init", s)
         if any(isinstance(f, Falsum) for f in s.left):
             return Derivation("L-false", s)
@@ -278,7 +291,7 @@ class _Search:
         self.expanded += 1
         ancestors = ancestors | {s}
         loops_before = self.loop_hits
-        for rule, premises in self._moves(s):
+        for rule, premises in self._steps(s):
             subs = []
             ok = True
             for p in premises:
@@ -352,134 +365,39 @@ def _skeleton(f: Formula) -> Formula:
     return f._rebuild([_skeleton(c) for c in f._subs()])
 
 
-def _node_instances(s: Sequent, logic: Logic):
-    """All rule instances applicable at s, exhaustively; for validation, not
-    search, so no pruning or ordering."""
-    classical = logic is Logic.CLASSICAL
-    g, d = s.left, s.right
-    for f in g:
-        if _is_atom(f) and f in d:
-            yield ("init", [])
-        if isinstance(f, Falsum):
-            yield ("L-false", [])
-        if isinstance(f, And):
-            yield ("L-and", [Sequent.make(_minus(g, f) + (f.left, f.right), d)])
-        if isinstance(f, Or):
-            yield ("L-or", [Sequent.make(_minus(g, f) + (f.left,), d),
-                            Sequent.make(_minus(g, f) + (f.right,), d)])
-        if isinstance(f, Imp):
-            if classical:
-                yield ("L-imp", [Sequent.make(_minus(g, f), d + (f.left,)),
-                                 Sequent.make(_minus(g, f) + (f.right,), d)])
-            else:
-                yield ("L-imp", [Sequent.make(g, d + (f.left,)),
-                                 Sequent.make(_minus(g, f) + (f.right,), d)])
-        if isinstance(f, BigAnd):
-            for p in f.parts:
-                yield ("L-bigand", [Sequent.make(g + (p,), d)])
-        if isinstance(f, BigOr):
-            yield ("L-bigor", [Sequent.make(_minus(g, f) + (p,), d)
-                               for p in f.parts])
-        if isinstance(f, Ex):
-            yield ("L-ex", [None, ("ex", f, _minus(g, f), d)])
-        if isinstance(f, All):
-            yield ("L-all", [None, ("all-inst", f, g, d)])
-    for f in d:
-        if isinstance(f, And):
-            yield ("R-and", [Sequent.make(g, _minus(d, f) + (f.left,)),
-                             Sequent.make(g, _minus(d, f) + (f.right,))])
-        if isinstance(f, Or):
-            yield ("R-or", [Sequent.make(g, _minus(d, f) + (f.left, f.right))])
-        if isinstance(f, Imp):
-            if classical:
-                yield ("R-imp", [Sequent.make(g + (f.left,),
-                                              _minus(d, f) + (f.right,))])
-            else:
-                yield ("R-imp", [Sequent.make(g + (f.left,), (f.right,))])
-        if isinstance(f, BigAnd):
-            if classical:
-                yield ("R-bigand", [Sequent.make(g, _minus(d, f) + (p,))
-                                    for p in f.parts])
-            else:
-                yield ("R-bigand", [Sequent.make(g, (p,)) for p in f.parts])
-        if isinstance(f, BigOr):
-            for p in f.parts:
-                yield ("R-bigor", [Sequent.make(g, d + (p,))])
-        if isinstance(f, Ex):
-            yield ("R-ex", [None, ("ex-inst", f, g, d)])
-        if isinstance(f, All):
-            if classical:
-                yield ("R-all", [None, ("all", f, g, _minus(d, f))])
-            else:
-                yield ("R-all", [None, ("all", f, g, ())])
-
-
-def _matches_eigen(kind, f, g, d, premise: Sequent, logic: Logic) -> bool:
-    """Quantifier instances need a witnessing term or eigenvariable; recover
-    it from the premise by trying every candidate.  An eigenvariable must
-    not occur free in the conclusion: neither in the principal formula nor
-    in the side formulas."""
-    candidates = _terms_in(premise) + [Var(f"v{v}") for v in range(1, 40)]
-    conclusion_vars = set().union(*map(free_vars, (f,) + g + d))
-    seen = set()
-    for t in candidates:
-        body = substitute(f.body, f.var, t)
-        if body in seen:
-            continue
-        seen.add(body)
-        if kind == "ex":  # L-ex: fresh variable, principal removed
-            if not isinstance(t, Var):
-                continue
-            if t.name in conclusion_vars:
-                continue
-            if premise == Sequent.make(g + (body,), d):
-                return True
-        elif kind == "all":  # R-all: fresh variable
-            if not isinstance(t, Var):
-                continue
-            if t.name in conclusion_vars:
-                continue
-            if logic is Logic.CLASSICAL:
-                if premise == Sequent.make(g, d + (body,)):
-                    return True
-            else:
-                if premise == Sequent.make(g, (body,)):
-                    return True
-        elif kind == "all-inst":  # L-all: any term, principal kept
-            if premise == Sequent.make(g + (body,), d):
-                return True
-        elif kind == "ex-inst":  # R-ex: any term, principal kept
-            if premise == Sequent.make(g, d + (body,)):
-                return True
-    return False
-
-
 def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
-    """None when the node is a correct rule instance, else a reason."""
+    """None when the node is a correct rule instance, else a reason.  A
+    quantifier witness is recovered from the premise's terms or is a
+    variable fresh for the conclusion; an eigenvariable must not occur free
+    in the conclusion: neither in the principal formula nor in the side
+    formulas."""
     s = d.conclusion
-    premise_seqs = [p.conclusion for p in d.premises]
+    g, dd = s.left, s.right
+    premises = tuple(p.conclusion for p in d.premises)
     if d.rule == "cut":
         if not allow_cut:
             return "cut node but cut is not admitted"
-        if len(premise_seqs) != 2:
+        if len(premises) != 2:
             return "cut needs two premises"
-        l, r = premise_seqs
-        for a in r.left:
-            if a not in s.left:
-                if l == Sequent.make(s.left, s.right + (a,)) \
-                        and r == Sequent.make(s.left + (a,), s.right):
-                    return None
+        if any(a not in g and premises == _cut(g, dd, a)
+               for a in premises[1].left):
+            return None
         return "premises do not match a cut on any formula"
-    for rule, shape in _node_instances(s, logic):
-        if rule != d.rule:
-            continue
-        if shape and shape[0] is None:
-            kind, f, g, dd = shape[1]
-            if len(premise_seqs) == 1 and _matches_eigen(
-                    kind, f, g, dd, premise_seqs[0], logic):
-                return None
-            continue
-        if [p for p in premise_seqs] == shape:
+    if d.rule not in _RULES:
+        return f"no rule named {d.rule}"
+    side, cls, witness, build = _RULES[d.rule]
+    witnesses = [None]
+    if witness:
+        witnesses = [t for p in premises for t in _terms_in(p)]
+        witnesses.append(Var(_fresh_var(s)))
+        if witness is _EIGEN:
+            taken = set().union(*(f._fv for f in g + dd))
+            witnesses = [t for t in witnesses
+                         if isinstance(t, Var) and t.name not in taken]
+    classical = logic is Logic.CLASSICAL
+    for f in (g, dd)[side]:
+        if isinstance(f, cls) and any(
+                premises in build(f, g, dd, classical, t) for t in witnesses):
             return None
     return f"no {d.rule} instance matches the premises"
 
@@ -525,18 +443,21 @@ def _comprehension_shape(f: Formula):
     return None
 
 
-def _replace_class(f: Formula, cls: str, var: str, body: Formula) -> Formula:
-    """f with each atom ``t in cls`` replaced by body with t for var.  A
-    binder is renamed when it would capture a parameter of body that
-    replaces an atom in its scope."""
-    params = body._fv - {var}
+def _replace_classes(f: Formula, defs: dict[str, tuple[str, Formula]]):
+    """f with each atom ``t in C`` replaced by C's defining body with t for
+    its variable.  A binder is renamed when it would capture a parameter of
+    a class that occurs in its scope."""
+    params = {cls: body._fv - {var} for cls, (var, body) in defs.items()}
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, ClassMem) and g.cls == cls:
+        if isinstance(g, ClassMem):
+            var, body = defs[g.cls]
             return substitute(body, var, g.element)
-        if isinstance(g, QUANTIFIERS) and g.var in params \
-                and cls in class_ids(g.body):
-            g = _rename_binder(g, params | {var})
+        if isinstance(g, QUANTIFIERS):
+            scope = class_ids(g.body)
+            if any(g.var in params[cls] for cls in scope):
+                g = _rename_binder(g, frozenset().union(
+                    *(params[cls] | {defs[cls][0]} for cls in scope)))
         return g._rebuild([go(c) for c in g._subs()])
 
     return go(f)
@@ -563,8 +484,7 @@ def eliminate_classes(axioms: list[Formula],
     out = axioms + [goal]
     for cls in sorted(set().union(*map(class_ids, out)) - set(defs)):
         defs[cls] = ("x", Eq(Var("x"), Var("x")))
-    for cls, (v, phi) in defs.items():
-        out = [_replace_class(f, cls, v, phi) for f in out]
+    out = [_replace_classes(f, defs) for f in out]
     if any(map(class_ids, out)):
         raise ClassEliminationError("class atoms survived elimination")
     return out[:-1], out[-1]

@@ -130,6 +130,15 @@ def test_compile_matches_oracle_sample():
             assert eval_opterm(t, [a1]) == comprehension(f, [a1]), text
 
 
+def test_compile_binder_that_is_its_own_bound():
+    """The guard x1' in x1 must not be read in the scope of the new x1."""
+    for text in ["ex x1 in x1. x1 = x1", "all x1 in x1. false"]:
+        f = parse(text)
+        t = compile_bounded(f, 1)
+        for a1 in hf.v_stage(3):
+            assert eval_opterm(t, [a1]) == comprehension(f, [a1]), text
+
+
 def test_def_stage_examples():
     assert def_stage(EMPTY, 0) == EMPTY
     assert def_stage(EMPTY, 1) == hfset(EMPTY, ONE)

@@ -3,7 +3,8 @@
 Random formulas over the variables x, y, z and literals from a transitive
 stage V_3 are rewritten by each transformer and both sides are evaluated by
 ``semantics.satisfies``.  Bounded quantifiers range over members of V_3, so
-unbounded quantifiers over V_3 agree with their guarded forms.
+unbounded quantifiers over V_3 agree with their guarded forms.  The bounded
+formula compiler is compared with ``semantics.comprehension`` likewise.
 """
 
 import pytest
@@ -15,9 +16,10 @@ from czfkit.formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, Eq, Ex, Falsum, Imp,
     Lit, Mem, Or, Var, free_vars, is_bounded, relativize, substitute,
 )
+from czfkit.godel import compile_bounded, eval_opterm
 from czfkit.names import Interpreter, name_universe
 from czfkit.prover import desugar
-from czfkit.semantics import satisfies
+from czfkit.semantics import comprehension, satisfies
 from czfkit.translate import dn_translate, semantic_translate
 
 U = hf.v_stage(3)
@@ -144,3 +146,34 @@ def test_semantic_translate_is_the_classical_reading(topology, f, data):
     env = {v: data.draw(st.sampled_from(u.names)) for v in VARS}
     it = Interpreter(u)
     assert semantic_translate(f, env, it) == _classical_reading(f, env, it)
+
+
+# -- the Goedel compiler is the comprehension oracle ------------------------
+
+X1, X2 = Var("x1"), Var("x2")
+# binders reuse the free variables, so a quantifier may rebind its own bound
+bounded_terms = st.sampled_from([X1, X2, Lit(hf.EMPTY),
+                                 Lit(hf.hfset(hf.EMPTY))])
+bounded_binders = st.sampled_from(["x1", "x2"])
+bounded_atoms = st.one_of(st.just(Falsum()),
+                          st.builds(Eq, bounded_terms, bounded_terms),
+                          st.builds(Mem, bounded_terms, bounded_terms))
+
+
+def _extend_bounded(sub):
+    return st.one_of(
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+        st.builds(BoundedAll, bounded_binders, bounded_terms, sub),
+        st.builds(BoundedEx, bounded_binders, bounded_terms, sub))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.recursive(bounded_atoms, _extend_bounded, max_leaves=4),
+       st.sampled_from(list(U)), st.sampled_from(list(U)))
+def test_compiled_formula_is_its_comprehension(f, a1, a2):
+    # padded so that the free variables are exactly x1 and x2
+    f = And(And(Eq(X1, X1), Eq(X2, X2)), f)
+    term = compile_bounded(f, 2)
+    assert eval_opterm(term, [a1, a2]) == comprehension(f, [a1, a2])

@@ -209,6 +209,42 @@ def test_check_derivation_rejects_eigenvariable_free_in_principal(logic):
         assert report.invalid == conclusion
 
 
+def _chain(*steps):
+    """A one-branch derivation from (rule, sequent) steps, root first; the
+    last step has no premises."""
+    d = None
+    for rule, s in reversed(steps):
+        d = Derivation(rule, s, (d,) if d else ())
+    return d
+
+
+@pytest.mark.parametrize("logic", [INT, CL])
+def test_check_derivation_accepts_instances_the_search_never_makes(logic):
+    """The checker accepts every instance of the calculus, not only the
+    search's choices: a witness that is in no formula of the conclusion, an
+    eigenvariable other than the first fresh one, and an L-bigand that adds
+    a conjunct already present."""
+    ex_a = "ex y. y in a"
+    proofs = [
+        _chain(("R-imp", _sequent([], [f"(all x. x in a) -> {ex_a}"])),
+               ("L-all", _sequent(["all x. x in a"], [ex_a])),
+               ("R-ex", _sequent(["all x. x in a", "{{}} in a"], [ex_a])),
+               ("init", _sequent(["all x. x in a", "{{}} in a"],
+                                 [ex_a, "{{}} in a"]))),
+        _chain(("R-imp", _sequent([], [f"(ex x. x in a) -> {ex_a}"])),
+               ("L-ex", _sequent(["ex x. x in a"], [ex_a])),
+               ("R-ex", _sequent(["v7 in a"], [ex_a])),
+               ("init", _sequent(["v7 in a"], [ex_a, "v7 in a"]))),
+        _chain(("L-bigand", _sequent(["bigand [x = x, y = y]", "x = x"],
+                                     ["x = x"])),
+               ("init", _sequent(["bigand [x = x, y = y]", "x = x"],
+                                 ["x = x"]))),
+    ]
+    for d in proofs:
+        report = check_derivation(d, logic)
+        assert report.ok, (report.reason, report.invalid)
+
+
 def test_check_derivation_cut():
     a, b = parse("x = x"), parse("y = y")
     leaf = Derivation("init", Sequent.make([a], [a]), ())
@@ -242,6 +278,15 @@ def test_eliminate_classes_renames_capturing_binder():
     assert g == parse("all a'. x in a")
     _, g = eliminate_classes([comp], parse("ex a in x. a in M"))
     assert g == parse("ex a' in x. a' in a")
+
+
+def test_eliminate_classes_renames_for_every_class_in_scope():
+    m = parse("all v. (v in M -> v in a) & (v in a -> v in M)")
+    n = parse("all w. (w in N -> w in b) & (w in b -> w in N)")
+    _, g = eliminate_classes([m, n], parse("all a. x in M & x in N"))
+    assert g == parse("all a'. x in a & x in b")
+    _, g = eliminate_classes([m, n], parse("all b. ex a. a in M -> x in N"))
+    assert g == parse("all b'. ex a'. a' in a -> x in b")
 
 
 def test_eliminate_classes_undefined_symbol():
@@ -320,43 +365,44 @@ def _pinned_targets():
         yield f"{text} dn", dn_translate(f), INT, 200
 
 
-# (outcome, nodes expanded, sha256 of derivation.render() or of "") per
-# target, recorded with the render-keyed Sequent.make these replaced.
+# (outcome, nodes expanded, sha256 of derivation.render() or of "", limit,
+# loop hits, memo hits) per target; the first three were recorded with the
+# render-keyed Sequent.make these replaced.
 PINNED = {
-    'AA->EE intuitionistic': ('proved', 5, 'bff2c7e4c82779cb'),
-    'AA->EE classical': ('proved', 5, 'bff2c7e4c82779cb'),
-    'EA->AE intuitionistic': ('proved', 7, '365c0e490866afa6'),
-    'EA->AE classical': ('proved', 7, '365c0e490866afa6'),
-    'AE->EA intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
-    'AE->EA classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
-    'EAr->AEr intuitionistic': ('proved', 7, '4f6b25552bf4d43c'),
-    'EAr->AEr classical': ('proved', 7, '4f6b25552bf4d43c'),
-    'AEr->EAr intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
-    'AEr->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
-    'EE->AA intuitionistic': ('not-provable', 6, 'e3b0c44298fc1c14'),
-    'EE->AA classical': ('not-provable', 6, 'e3b0c44298fc1c14'),
-    'AA->EAr intuitionistic': ('proved', 8, 'fca5b7392e4073a2'),
-    'AA->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14'),
-    'EA->EE intuitionistic': ('proved', 5, '7957911460b160e5'),
-    'EA->EE classical': ('proved', 5, '7957911460b160e5'),
-    '(a = a -> b = b) -> ~b = b -> ~a = a cl': ('proved', 5, '8a217617194bc490'),
-    '(a = a -> b = b) -> ~b = b -> ~a = a nn': ('proved', 12, '86e62bbb41404b50'),
-    '(a = a -> b = b) -> ~b = b -> ~a = a dn': ('proved', 17, '0a25b530001a0350'),
-    'a = a | ~a = a cl': ('proved', 2, '32db83874ee3f3a8'),
-    'a = a | ~a = a nn': ('proved', 6, '7b95d38b3addc84b'),
-    'a = a | ~a = a dn': ('proved', 12, 'fdc483750ae8603a'),
-    '((a = a -> b = b) -> a = a) -> a = a cl': ('proved', 3, '7da06eea33a2ff59'),
-    '((a = a -> b = b) -> a = a) -> a = a nn': ('proved', 10, 'ca3ff6053f829594'),
-    '((a = a -> b = b) -> a = a) -> a = a dn': ('proved', 34, '8b7bcade970958e7'),
-    '~(a = a & b = b) -> ~a = a | ~b = b cl': ('proved', 6, '2b8210fba97b5aaf'),
-    '~(a = a & b = b) -> ~a = a | ~b = b nn': ('proved', 14, '2e253a814f9e2c4e'),
-    '~(a = a & b = b) -> ~a = a | ~b = b dn': ('proved', 140, 'ee7b8dca13d72429'),
-    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) cl': ('proved', 6, '964371b5692d066f'),
-    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) nn': ('proved', 15, 'ad90a3e7df9b50de'),
-    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) dn': ('proved', 128, '6f0a1472de4e781b'),
-    '~~(a = a) -> a = a cl': ('proved', 3, '586c8969d5476b14'),
-    '~~(a = a) -> a = a nn': ('proved', 8, '64abcfe0e2156382'),
-    '~~(a = a) -> a = a dn': ('proved', 9, '1c88062e9229d9a0'),
+    'AA->EE intuitionistic': ('proved', 5, 'bff2c7e4c82779cb', None, 0, 0),
+    'AA->EE classical': ('proved', 5, 'bff2c7e4c82779cb', None, 0, 0),
+    'EA->AE intuitionistic': ('proved', 7, '365c0e490866afa6', None, 0, 0),
+    'EA->AE classical': ('proved', 7, '365c0e490866afa6', None, 0, 0),
+    'AE->EA intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14', 'nodes', 0, 0),
+    'AE->EA classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14', 'nodes', 0, 0),
+    'EAr->AEr intuitionistic': ('proved', 7, '4f6b25552bf4d43c', None, 0, 0),
+    'EAr->AEr classical': ('proved', 7, '4f6b25552bf4d43c', None, 0, 0),
+    'AEr->EAr intuitionistic': ('budget-exceeded', 64, 'e3b0c44298fc1c14', 'nodes', 0, 0),
+    'AEr->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14', 'nodes', 0, 0),
+    'EE->AA intuitionistic': ('not-provable', 6, 'e3b0c44298fc1c14', None, 0, 0),
+    'EE->AA classical': ('not-provable', 6, 'e3b0c44298fc1c14', None, 0, 0),
+    'AA->EAr intuitionistic': ('proved', 8, 'fca5b7392e4073a2', None, 0, 0),
+    'AA->EAr classical': ('budget-exceeded', 64, 'e3b0c44298fc1c14', 'nodes', 0, 0),
+    'EA->EE intuitionistic': ('proved', 5, '7957911460b160e5', None, 0, 0),
+    'EA->EE classical': ('proved', 5, '7957911460b160e5', None, 0, 0),
+    '(a = a -> b = b) -> ~b = b -> ~a = a cl': ('proved', 5, '8a217617194bc490', None, 0, 0),
+    '(a = a -> b = b) -> ~b = b -> ~a = a nn': ('proved', 12, '86e62bbb41404b50', None, 4, 0),
+    '(a = a -> b = b) -> ~b = b -> ~a = a dn': ('proved', 17, '0a25b530001a0350', None, 12, 0),
+    'a = a | ~a = a cl': ('proved', 2, '32db83874ee3f3a8', None, 0, 0),
+    'a = a | ~a = a nn': ('proved', 6, '7b95d38b3addc84b', None, 0, 0),
+    'a = a | ~a = a dn': ('proved', 12, 'fdc483750ae8603a', None, 3, 0),
+    '((a = a -> b = b) -> a = a) -> a = a cl': ('proved', 3, '7da06eea33a2ff59', None, 0, 0),
+    '((a = a -> b = b) -> a = a) -> a = a nn': ('proved', 10, 'ca3ff6053f829594', None, 2, 0),
+    '((a = a -> b = b) -> a = a) -> a = a dn': ('proved', 34, '8b7bcade970958e7', None, 24, 0),
+    '~(a = a & b = b) -> ~a = a | ~b = b cl': ('proved', 6, '2b8210fba97b5aaf', None, 0, 0),
+    '~(a = a & b = b) -> ~a = a | ~b = b nn': ('proved', 14, '2e253a814f9e2c4e', None, 2, 0),
+    '~(a = a & b = b) -> ~a = a | ~b = b dn': ('proved', 140, 'ee7b8dca13d72429', None, 118, 0),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) cl': ('proved', 6, '964371b5692d066f', None, 0, 0),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) nn': ('proved', 15, 'ad90a3e7df9b50de', None, 4, 0),
+    '(a = a -> b = b | c = c) -> (a = a -> b = b) | (a = a -> c = c) dn': ('proved', 128, '6f0a1472de4e781b', None, 149, 0),
+    '~~(a = a) -> a = a cl': ('proved', 3, '586c8969d5476b14', None, 0, 0),
+    '~~(a = a) -> a = a nn': ('proved', 8, '64abcfe0e2156382', None, 3, 0),
+    '~~(a = a) -> a = a dn': ('proved', 9, '1c88062e9229d9a0', None, 2, 0),
 }
 
 
@@ -366,7 +412,8 @@ def test_pinned_searches():
         r = prove_formula(f, logic, budget=budget)
         text = r.derivation.render() if r.derivation else ""
         got[label] = (r.outcome.value, r.expanded,
-                      hashlib.sha256(text.encode()).hexdigest()[:16])
+                      hashlib.sha256(text.encode()).hexdigest()[:16],
+                      r.limit, r.loop_hits, r.memo_hits)
     assert got == PINNED
 
 

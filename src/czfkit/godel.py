@@ -5,11 +5,15 @@ The compiler turns a bounded formula with free variables x1..xn into a term
 over the fundamental operations that computes, for any arguments a1..an,
 the comprehension {<x_n,...,x_1> in a_n x ... x a_1 | phi(x1..xn)} (tuples
 right-nested, 1-tuples being the element itself).
+
+Compiled terms repeat subterms, so eval_opterm keeps a memo for the length
+of one call: an operation met again on the same argument values is not
+applied again.  Nothing outlives the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import hf
 from .formula import (
@@ -113,6 +117,7 @@ def fundamental_op(symbol: str, args: list[HFSet]) -> HFSet:
 class Arg:
     """Placeholder for the i-th argument (1-based)."""
     index: int
+    size = 1  # nodes in the term's tree, as for App
 
     def __post_init__(self):
         if self.index < 1:
@@ -123,35 +128,71 @@ class Arg:
 class App:
     op: str
     args: tuple["OpTerm", ...]
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.op not in _ARITY:
             raise ValueError(f"unknown operation {self.op!r}")
         if len(self.args) != _ARITY[self.op]:
             raise ValueError(f"operation {self.op!r} arity mismatch")
+        object.__setattr__(self, "size", 1 + sum(a.size for a in self.args))
 
 
 OpTerm = Arg | App
 
 
+def _fold(t: OpTerm, leaf, node):
+    """leaf(a) at each Arg and node(app, child values) at each App, children
+    first, walked with an explicit stack, so any depth works."""
+    done: list = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Arg):
+            done.append(leaf(u))
+        elif isinstance(u, App):
+            stack.append((u,))
+            stack.extend(reversed(u.args))
+        else:
+            app, n = u[0], len(u[0].args)
+            values = done[-n:]
+            del done[-n:]
+            done.append(node(app, values))
+    return done[0]
+
+
 def opterm_render(t: OpTerm) -> str:
-    if isinstance(t, Arg):
-        return f"#{t.index}"
-    return f"F_{t.op}(" + ",".join(opterm_render(a) for a in t.args) + ")"
+    return _fold(t, lambda a: f"#{a.index}",
+                 lambda app, parts: f"F_{app.op}(" + ",".join(parts) + ")")
 
 
 def eval_opterm(t: OpTerm, args: list[HFSet]) -> HFSet:
+    """The value of t at args, where Arg(i) stands for args[i-1].
+
+    Within one call each distinct operation applied to the same arguments
+    is evaluated once: a memo keyed by (op, *argument values), which hash
+    by identity, serves the repeats.  The memo dies with the call, so the
+    unique table can free intermediate sets.  The walk recurses, like the
+    formula oracle: an explicit stack, as _fold keeps, made the oracle
+    items a third slower."""
+    return _value(t, args, {})
+
+
+def _value(t: OpTerm, args: list[HFSet], memo: dict) -> HFSet:
     if isinstance(t, Arg):
         if t.index > len(args):
             raise ValueError(f"argument index {t.index} out of range")
         return args[t.index - 1]
-    return fundamental_op(t.op, [eval_opterm(a, args) for a in t.args])
+    values = [_value(a, args, memo) for a in t.args]
+    key = (t.op, *values)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = fundamental_op(t.op, values)
+    return value
 
 
 def max_placeholder(t: OpTerm) -> int:
-    if isinstance(t, Arg):
-        return t.index
-    return max((max_placeholder(a) for a in t.args), default=0)
+    return _fold(t, lambda a: a.index, lambda app, indices: max(indices))
 
 
 # -- compiler --------------------------------------------------------------
@@ -168,7 +209,10 @@ def _pair(a: OpTerm, b: OpTerm) -> App:
 
 
 def _inter(a: OpTerm, b: OpTerm) -> App:
-    # x cap bigcap {y} = x cap y
+    # x cap bigcap {y} = x cap y; y is written twice, so the smaller term
+    # goes there, or the tree would double at every conjunction
+    if b.size > a.size:
+        a, b = b, a
     return _app("cap", a, _pair(b, b))
 
 
@@ -181,12 +225,13 @@ def _diff(a: OpTerm, b: OpTerm) -> App:
 
 
 def _rant(x: OpTerm) -> App:
-    # ran/dom are binary with an ignored second argument
-    return _app("ran", x, x)
+    # ran/dom are binary with an ignored second argument; #1 fills it, as
+    # repeating x would double the term's tree at every quantifier
+    return _app("ran", x, Arg(1))
 
 
 def _domt(x: OpTerm) -> App:
-    return _app("dom", x, x)
+    return _app("dom", x, Arg(1))
 
 
 def _swap(r: OpTerm, a: OpTerm, b: OpTerm) -> App:

@@ -70,6 +70,15 @@ def test_compile(capsys):
     assert run(["compile", "ex y. y in x1", "--arity", "1"]) == 2
 
 
+@pytest.mark.parametrize("formula", [
+    "~" * 300 + "x1 = x1", "ex y in x1. " * 100 + "x1 = x1",
+], ids=["300-negations", "100-quantifiers"])
+def test_compile_deep_formula(capsys, formula):
+    assert run(["compile", formula, "--arity", "1"]) == 0
+    text = out_of(capsys)
+    assert text.startswith("F_") and text.endswith(")\n")
+
+
 def test_hf_eval(capsys):
     assert run(["hf-eval", "F_p", "{}", "{}"]) == 0
     assert out_of(capsys) == "{{}}\n"

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from czfkit import godel, hf
-from czfkit.formula import parse
+from czfkit import corpus, godel, hf
+from czfkit.formula import free_vars, parse
 from czfkit.godel import (
     App, Arg, CompileError, compile_bounded, def_stage, eval_opterm,
     fundamental_op, hereditary_add, l_stage, max_placeholder, opterm_render,
@@ -88,6 +88,7 @@ def test_opterm_eval_and_render():
     assert eval_opterm(t, [EMPTY]) == ONE
     assert eval_opterm(Arg(1), [ONE]) == ONE
     assert opterm_render(t) == "F_p(#1,#1)"
+    assert t.size == 3 and Arg(1).size == 1
     assert max_placeholder(t) == 1
     with pytest.raises(ValueError):
         eval_opterm(Arg(2), [EMPTY])
@@ -137,6 +138,81 @@ def test_compile_binder_that_is_its_own_bound():
         t = compile_bounded(f, 1)
         for a1 in hf.v_stage(3):
             assert eval_opterm(t, [a1]) == comprehension(f, [a1]), text
+
+
+def _eval_reference(t, args):
+    """The recursive tree walk that eval_opterm was before its memo."""
+    if isinstance(t, Arg):
+        if t.index > len(args):
+            raise ValueError(f"argument index {t.index} out of range")
+        return args[t.index - 1]
+    return fundamental_op(t.op, [_eval_reference(a, args) for a in t.args])
+
+
+def test_eval_matches_reference():
+    formulas = [f for f in corpus.bounded_formulas(1, 3, limit=250)
+                if free_vars(f) == {"x1"}]
+    assert len(formulas) == 222
+    formulas += [parse("ex x1 in x1. x1 = x1"), parse("all x1 in x1. false")]
+    for f in formulas:
+        t = compile_bounded(f, 1)
+        for a1 in hf.v_stage(3):
+            assert eval_opterm(t, [a1]) is _eval_reference(t, [a1])
+    with pytest.raises(ValueError):
+        eval_opterm(Arg(2), [EMPTY])
+
+
+def test_eval_memo_is_scoped_to_one_call():
+    f = parse("all y in x2. y in x1 -> x2 in x1")
+    t = compile_bounded(f, 2)
+    args = [hf.v_stage(3), parse_hf("{{}, {{}}, {{{}}}}")]
+    before = len(hf._table)
+    result = eval_opterm(t, args)
+    assert len(hf._table) > before
+    assert result is comprehension(f, args)
+    del result
+    assert len(hf._table) == before
+
+
+def test_eval_applies_each_distinct_operation_once(monkeypatch):
+    t = compile_bounded(parse("all y in x2. y in x1 -> x2 in x1"), 2)
+    args = [hf.v_stage(3), parse_hf("{{}, {{}}, {{{}}}}")]
+    tree = []  # one (op, *args) per App node of t's tree
+
+    def walk(u):
+        if isinstance(u, Arg):
+            return args[u.index - 1]
+        values = [walk(a) for a in u.args]
+        tree.append((u.op, *values))
+        return fundamental_op(u.op, values)
+
+    want = walk(t)
+    calls = []
+
+    def counting(symbol, values):
+        calls.append((symbol, *values))
+        return fundamental_op(symbol, values)
+
+    monkeypatch.setattr(godel, "fundamental_op", counting)
+    assert eval_opterm(t, args) is want
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(tree)
+    assert len(calls) < len(tree)
+
+
+def test_deep_terms_render_and_evaluate():
+    """Rendering walks without recursion.  Nested quantifiers once compiled
+    to a tree of about 4^n nodes, as each level wrote its body twice; 100 of
+    them over x1 hold iff x1 is not empty."""
+    t = compile_bounded(parse("~" * 900 + "x1 = x1"), 1)
+    assert max_placeholder(t) == 1
+    assert opterm_render(t).startswith("F_")
+    t = compile_bounded(parse("ex y in x1. " * 100 + "x1 = x1"), 1)
+    assert t.size < 40_000
+    assert opterm_render(t).startswith("F_")
+    for a1 in hf.v_stage(2):
+        want = hfset(a1) if a1 else EMPTY
+        assert eval_opterm(t, [hfset(a1)]) is want
 
 
 def test_def_stage_examples():

@@ -103,8 +103,7 @@ def check_regular(a_set: HFSet, level: RegularityLevel,
                 failures.append(f"inaccessible: intersection of {a} missing")
                 break
         for a, b in itertools.product(a_set, repeat=2):
-            if not any(relations.is_full(c, a, b, max_count)
-                       for c in a_set):
+            if relations.fullness_witness(a_set, a, b, max_count) is None:
                 failures.append(f"inaccessible: no fullness witness for "
                                 f"a={a} b={b}")
                 break

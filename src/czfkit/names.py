@@ -158,8 +158,16 @@ def check_name(x: HFSet, t: FormalTopology) -> Name:
 
 
 def up(a: Name, b: Name, t: FormalTopology) -> Name:
-    """The unordered pair name {a,b} with full membership weights."""
-    return make_name([(a, tp.top(t)), (b, tp.top(t))])
+    """The unordered pair name {a,b} with full membership weights.
+
+    Builds ``make_name([(a, top), (b, top)])`` directly: the keys ordered
+    by serialization, one entry when a is b."""
+    top = tp.top(t)
+    if a is b:
+        return Name(((a, top),))
+    if b._repr < a._repr:
+        a, b = b, a
+    return Name(((a, top), (b, top)))
 
 
 def op(a: Name, b: Name, t: FormalTopology) -> Name:
@@ -171,7 +179,9 @@ class Interpreter:
     """Forcing values of formulas over a fixed finite name universe.
 
     Equality values are memoized; the recursion is well founded because
-    entries of a name are strictly shallower than the name."""
+    entries of a name are strictly shallower than the name.  Ordered-pair
+    names are memoized too, so each is built once per interpreter; the
+    memos die with it, and the weak unique table can free their names."""
 
     def __init__(self, universe: NameUniverse):
         self.u = universe
@@ -179,6 +189,15 @@ class Interpreter:
         self._eq: dict[tuple[Name, Name], FrameElement] = {}
         self._mem: dict[tuple[Name, Name], FrameElement] = {}
         self._check: dict[HFSet, Name] = {}
+        self._op: dict[tuple[Name, Name], Name] = {}
+
+    def op(self, a: Name, b: Name) -> Name:
+        """The ordered pair name ``op(a, b, self.t)``."""
+        key = (a, b)
+        pair = self._op.get(key)
+        if pair is None:
+            pair = self._op[key] = op(a, b, self.t)
+        return pair
 
     def term_name(self, term: Term, env: dict) -> Name:
         if isinstance(term, Lit):
@@ -316,15 +335,15 @@ def collection_value(it: Interpreter, a: Name, r: Name,
     parts = []
     if b is None:
         for x, px in a.entries:
-            hit = tp.big_join(t, (it.mem(op(x, y, t), r) for y in it.u.names))
+            hit = tp.big_join(t, (it.mem(it.op(x, y), r) for y in it.u.names))
             parts.append(tp.implies(t, px, hit))
         return tp.big_meet(t, parts)
     for x, px in a.entries:
-        hit = tp.big_join(t, (tp.meet(t, qy, it.mem(op(x, y, t), r))
+        hit = tp.big_join(t, (tp.meet(t, qy, it.mem(it.op(x, y), r))
                               for y, qy in b.entries))
         parts.append(tp.implies(t, px, hit))
     for y, qy in b.entries:
-        hit = tp.big_join(t, (tp.meet(t, px, it.mem(op(x, y, t), r))
+        hit = tp.big_join(t, (tp.meet(t, px, it.mem(it.op(x, y), r))
                               for x, px in a.entries))
         parts.append(tp.implies(t, qy, hit))
     return tp.big_meet(t, parts)
@@ -340,10 +359,12 @@ def strong_collection_witness(a: Name, r: Name, p: FrameElement,
     the combined weight, and returns the name assembling the candidates
     with saturated token sets as weights.  Forcing totality both ways from
     p onto the result is a theorem checked in the test suite; an empty p
-    yields the empty name.
+    yields the empty name.  An interpreter passed in must range over u.
     """
     if it is None:
         it = Interpreter(u)
+    elif it.u is not u:
+        raise ValueError("the interpreter ranges over another universe")
     t = u.topology
     pre = collection_value(it, a, r)
     if not p <= pre:
@@ -353,7 +374,7 @@ def strong_collection_witness(a: Name, r: Name, p: FrameElement,
     collected: dict[Name, set] = {}
     for x, px in a.entries:
         for y in u.names:
-            weight = tp.big_meet(t, [p, px, it.mem(op(x, y, t), r)])
+            weight = tp.big_meet(t, [p, px, it.mem(it.op(x, y), r)])
             for z in weight:
                 collected.setdefault(y, set()).add(z)
     return make_name((y, tp.nucleus(t, frozenset(zs)))

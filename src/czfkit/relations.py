@@ -72,14 +72,24 @@ def mv_relations(a: HFSet, b: HFSet, max_count: int = 65536):
         yield HFSet(p for part in combo for p in part)
 
 
+def fullness_witness(candidates, a: HFSet, b: HFSet,
+                     max_count: int = 65536) -> HFSet | None:
+    """The first candidate that is full for a and b (see ``is_full``), or
+    None.  The multi-valued functions from a to b are enumerated once for
+    all the candidates."""
+    all_mv = list(mv_relations(a, b, max_count))
+    mv_set = set(all_mv)
+    for c in candidates:
+        if all(s in mv_set for s in c) and \
+                all(any(s.is_subset(r) for s in c) for r in all_mv):
+            return c
+    return None
+
+
 def is_full(c: HFSet, a: HFSet, b: HFSet, max_count: int = 65536) -> bool:
     """c refines every multi-valued function from a to b and consists of
     such functions only."""
-    all_mv = list(mv_relations(a, b, max_count))
-    mv_set = set(all_mv)
-    if not all(s in mv_set for s in c):
-        return False
-    return all(any(s.is_subset(r) for s in c) for r in all_mv)
+    return fullness_witness([c], a, b, max_count) is not None
 
 
 # -- inductive definitions -------------------------------------------------

@@ -1,8 +1,11 @@
 import copy
+import gc
 import itertools
 import pickle
+import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -387,3 +390,125 @@ def test_threads_share_one_name_per_value():
         + [_serialize_reference(op(x, y, OMEGA)) for x in base for y in base]
     for other in results[1:]:
         assert all(a is b for a, b in zip(first, other, strict=True))
+
+
+# -- pair names, memoized per interpreter --------------------------------------
+
+
+@pytest.mark.parametrize("t", [OMEGA, CHAIN], ids=["omega", "chain"])
+def test_up_is_make_name(t):
+    top = tp.top(t)
+    pool = name_universe(t, 2).names
+    for a, b in itertools.product(pool, repeat=2):
+        assert up(a, b, t) is make_name([(a, top), (b, top)])
+
+
+def test_interpreter_op_is_op():
+    u = name_universe(CHAIN, 2)
+    it = Interpreter(u)
+    for a in name_universe(CHAIN, 1).names:
+        for b in u.names:
+            assert it.op(a, b) is op(a, b, CHAIN)
+            assert it.op(a, b) is op(a, b, CHAIN)
+
+
+def test_interpreters_do_not_share_pair_names(monkeypatch):
+    built = []
+
+    def counting_op(a, b, t):
+        built.append((a, b))
+        return op(a, b, t)
+
+    monkeypatch.setattr(names, "op", counting_op)
+    u = u_omega(2)
+    first, second = Interpreter(u), Interpreter(u)
+    x, y = u.names[:2]
+    assert first.op(x, y) is first.op(x, y)
+    assert built == [(x, y)]
+    assert second.op(x, y) is first.op(x, y)
+    assert built == [(x, y), (x, y)]
+
+
+def test_pair_names_die_with_their_interpreter():
+    u = u_omega(2)
+    it = Interpreter(u)
+    # a pair of two depth-2 names has depth 4: nothing else builds it
+    pair = weakref.ref(it.op(u.names[-1], u.names[-2]))
+    gc.collect()
+    assert pair() is not None  # the memo holds it
+    del it
+    gc.collect()
+    assert pair() is None
+
+
+def test_witness_rejects_an_interpreter_over_another_universe():
+    u = u_omega(2)
+    a = check_name(ONE, OMEGA)
+    r = check_name(hfset(hf.kpair(EMPTY, EMPTY)), OMEGA)
+    with pytest.raises(ValueError, match="another universe"):
+        strong_collection_witness(a, r, TOP, u, Interpreter(u_omega(1)))
+    assert strong_collection_witness(a, r, TOP, u, Interpreter(u)) is \
+        strong_collection_witness(a, r, TOP, u)
+
+
+def _collection_value_reference(it, a, r, b=None):
+    """collection_value as it was before the pair memo: module op."""
+    t = it.t
+    parts = []
+    if b is None:
+        for x, px in a.entries:
+            hit = tp.big_join(t, (it.mem(op(x, y, t), r) for y in it.u.names))
+            parts.append(tp.implies(t, px, hit))
+        return tp.big_meet(t, parts)
+    for x, px in a.entries:
+        hit = tp.big_join(t, (tp.meet(t, qy, it.mem(op(x, y, t), r))
+                              for y, qy in b.entries))
+        parts.append(tp.implies(t, px, hit))
+    for y, qy in b.entries:
+        hit = tp.big_join(t, (tp.meet(t, px, it.mem(op(x, y, t), r))
+                              for x, px in a.entries))
+        parts.append(tp.implies(t, qy, hit))
+    return tp.big_meet(t, parts)
+
+
+def _witness_reference(a, r, p, u, it):
+    """strong_collection_witness as it was before the pair memo."""
+    t = u.topology
+    if not p:
+        return EMPTY_NAME
+    collected = {}
+    for x, px in a.entries:
+        for y in u.names:
+            weight = tp.big_meet(t, [p, px, it.mem(op(x, y, t), r)])
+            for z in weight:
+                collected.setdefault(y, set()).add(z)
+    return make_name((y, tp.nucleus(t, frozenset(zs)))
+                     for y, zs in collected.items() if zs)
+
+
+@pytest.mark.parametrize("t", [OMEGA, CHAIN], ids=["omega", "chain"])
+def test_collection_matches_reference(t):
+    """Every depth-1 a, with relations r weighting pairs of a's key and
+    depth-1 names at random."""
+    rng = random.Random(9)
+    u = name_universe(t, 2)
+    shallow = name_universe(t, 1).names
+    frames = frame_elements(t)
+    compared = 0
+    for a in shallow:
+        slots = [op(x, y, t) for x in a.keys() for y in shallow]
+        for _ in range(6):
+            r = make_name((s, w) for s in slots
+                          if (w := rng.choice([None, *frames])))
+            it = Interpreter(u)
+            pre = collection_value(it, a, r)
+            assert pre == _collection_value_reference(it, a, r)
+            for p in frames:
+                if not p <= pre:
+                    continue
+                b = strong_collection_witness(a, r, p, u, it)
+                assert b is _witness_reference(a, r, p, u, it)
+                assert collection_value(it, a, r, b) == \
+                    _collection_value_reference(it, a, r, b)
+                compared += bool(b.entries)
+    assert compared > 0

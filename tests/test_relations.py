@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from czfkit import hf
+from czfkit.checks import RegularityLevel, check_regular
 from czfkit.hf import EMPTY, BudgetExceeded, hfset, kpair
 from czfkit.relations import (
-    Direction, InductiveDef, MVRelation, adjust_mv, is_closed, is_full,
-    is_mv, lfp_inductive, lfp_stages, mv_relations,
+    Direction, InductiveDef, MVRelation, adjust_mv, fullness_witness,
+    is_closed, is_full, is_mv, lfp_inductive, lfp_stages, mv_relations,
 )
 
 
@@ -85,6 +86,64 @@ def test_is_full_examples():
     assert not is_full(hfset(single2), ONE, TWO)
     full2 = hfset(*mv_relations(ONE, TWO))
     assert is_full(full2, ONE, TWO)
+
+
+def _is_full_reference(c, a, b, max_count=65536):
+    """is_full as it was before the enumeration was shared."""
+    all_mv = list(mv_relations(a, b, max_count))
+    if not all(s in set(all_mv) for s in c):
+        return False
+    return all(any(s.is_subset(r) for s in c) for r in all_mv)
+
+
+# transitive sets drawn from V_3, V_3 itself among them
+TRANSITIVE = [ONE, TWO, hfset(EMPTY, ONE, hfset(ONE)), hf.v_stage(3)]
+
+
+def test_fullness_witness_agrees_with_each_candidate():
+    hits = 0
+    for a_set in TRANSITIVE:
+        for a, b in itertools.product(a_set, repeat=2):
+            all_mv = list(mv_relations(a, b))
+            candidates = list(a_set) + [hfset(*all_mv)] \
+                + [hfset(r) for r in all_mv]
+            full = [c for c in candidates if _is_full_reference(c, a, b)]
+            assert [c for c in candidates if is_full(c, a, b)] == full
+            assert fullness_witness(candidates, a, b) is \
+                (full[0] if full else None)
+            hits += bool(full)
+    assert hits > 0
+
+
+def test_fullness_witness_keeps_the_budget():
+    with pytest.raises(BudgetExceeded):
+        fullness_witness([EMPTY], TWO, TWO, max_count=5)
+    with pytest.raises(BudgetExceeded):
+        is_full(EMPTY, TWO, TWO, max_count=5)
+
+
+def _fullness_clause_reference(a_set, max_count):
+    """check_regular's fullness clause with is_full asked per candidate."""
+    for a, b in itertools.product(a_set, repeat=2):
+        if not any(_is_full_reference(c, a, b, max_count) for c in a_set):
+            return f"inaccessible: no fullness witness for a={a} b={b}"
+    return None
+
+
+@pytest.mark.parametrize("max_count", [0, 1, 3, 9, 65536])
+def test_check_regular_fullness_clause_and_budget(max_count):
+    for a_set in TRANSITIVE:
+        try:
+            want = _fullness_clause_reference(a_set, max_count)
+        except BudgetExceeded:
+            want = BudgetExceeded
+        try:
+            failures = check_regular(a_set, RegularityLevel.INACCESSIBLE,
+                                     max_count).failures
+            got = next((f for f in failures if "fullness" in f), None)
+        except BudgetExceeded:
+            got = BudgetExceeded
+        assert got == want
 
 
 def test_lfp_empty_rules():

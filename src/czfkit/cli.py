@@ -46,7 +46,8 @@ def _read_topology(path: str):
 
 # The deepest name accepted: the recursive names.Interpreter evaluates
 # equality and membership of names this deep under the default recursion
-# limit (about 240 levels when run from the command line).
+# limit (248 levels when run from the command line; each level takes four
+# frames: eq, its inclusion helper, mem and its join helper).
 MAX_NAME_DEPTH = 200
 
 
@@ -279,11 +280,15 @@ def _cmd(args) -> int:
         else:
             out.write(str(stages[-1]) + "\n")
         return 0
-    if args.command == "l-stage":
-        out.write(str(godel.l_stage(args.alpha, args.k, args.max_size)) + "\n")
-        return 0
-    if args.command == "hadd":
-        out.write(str(godel.hereditary_add(args.alpha, args.gamma)) + "\n")
+    if args.command in ("l-stage", "hadd"):
+        try:
+            if args.command == "l-stage":
+                result = godel.l_stage(args.alpha, args.k, args.max_size)
+            else:
+                result = godel.hereditary_add(args.alpha, args.gamma)
+        except ValueError as e:
+            raise _InputError(str(e)) from None
+        out.write(f"{result}\n")
         return 0
     if args.command == "check-regular":
         level = checks.RegularityLevel(args.level)

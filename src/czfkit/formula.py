@@ -451,7 +451,10 @@ class _Parser:
     def parse_term(self) -> Term:
         self.skip_ws()
         if self.peek("{"):
-            value, self.pos = _parse_hf_at(self.text, self.pos)
+            try:
+                value, self.pos = _parse_hf_at(self.text, self.pos)
+            except ValueError as e:
+                raise FormulaSyntaxError(str(e)) from None
             return Lit(value)
         return Var(self.parse_var())
 

@@ -434,6 +434,8 @@ def define_step(a: HFSet, max_size: int | None = None) -> HFSet:
 def def_stage(a: HFSet, k: int, max_size: int | None = 4096) -> HFSet:
     """Union of the first k definability iterates (truncation of the full
     omega-union)."""
+    if k < 0:
+        raise ValueError("k must be a natural number")
     acc = a
     cur = a
     for _ in range(k):
@@ -447,6 +449,10 @@ def def_stage(a: HFSet, k: int, max_size: int | None = 4096) -> HFSet:
 def l_stage(alpha: int, k: int, max_size: int | None = 4096) -> HFSet:
     """Truncated constructible stage: union over beta < alpha of the
     truncated definability closure of the previous stage."""
+    if alpha < 0:
+        raise ValueError("finite ordinals only")
+    if k < 0:
+        raise ValueError("k must be a natural number")
     stages = [EMPTY]
     for _ in range(alpha):
         cur = EMPTY

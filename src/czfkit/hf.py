@@ -125,14 +125,15 @@ def hfset(*elems: HFSet) -> HFSet:
     return HFSet(elems)
 
 
+# The largest rank of a literal parse_hf accepts: about what the recursive
+# parser it replaced reached under Python's default recursion limit.
+MAX_PARSE_DEPTH = 1000
+
+
 def parse_hf(text: str) -> HFSet:
     """Parse the canonical brace notation, e.g. ``{{},{{}}}``.  Malformed
-    input, and input nested deeper than the recursion limit allows, raise
-    ValueError."""
-    try:
-        s, pos = _parse_hf_at(text, _skip_ws(text, 0))
-    except RecursionError:
-        raise ValueError("nested too deeply") from None
+    input, and input of rank above MAX_PARSE_DEPTH, raise ValueError."""
+    s, pos = _parse_hf_at(text, _skip_ws(text, 0))
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")
@@ -146,24 +147,40 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def _parse_hf_at(text: str, pos: int) -> tuple[HFSet, int]:
-    if pos >= len(text) or text[pos] != "{":
-        raise ValueError(f"expected '{{' at position {pos}")
-    pos = _skip_ws(text, pos + 1)
-    elems: list[HFSet] = []
-    if pos < len(text) and text[pos] == "}":
-        return HFSet(), pos + 1
+    """The set literal starting at pos and the position after it.  The
+    parser keeps the open sets on an explicit stack, so nesting depth is
+    not limited by recursion."""
+    end = len(text)
+    # members read so far of each set opened and not yet closed
+    open_sets: list[list[HFSet]] = []
     while True:
-        e, pos = _parse_hf_at(text, pos)
-        elems.append(e)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise ValueError("unterminated set literal")
-        if text[pos] == ",":
-            pos = _skip_ws(text, pos + 1)
-        elif text[pos] == "}":
-            return HFSet(elems), pos + 1
-        else:
+        if pos >= end or text[pos] != "{":
+            raise ValueError(f"expected '{{' at position {pos}")
+        pos = _skip_ws(text, pos + 1)
+        if pos >= end or text[pos] != "}":
+            if len(open_sets) == MAX_PARSE_DEPTH:
+                raise ValueError("nested too deeply")
+            open_sets.append([])  # its first member starts here
+            continue
+        s = EMPTY
+        pos += 1
+        # ``s`` has just closed: it is the whole literal, or a member of the
+        # innermost open set.
+        while open_sets:
+            open_sets[-1].append(s)
+            pos = _skip_ws(text, pos)
+            if pos >= end:
+                raise ValueError("unterminated set literal")
+            if text[pos] == ",":
+                pos = _skip_ws(text, pos + 1)
+                break  # the next member starts here
+            if text[pos] == "}":
+                s = HFSet(open_sets.pop())
+                pos += 1
+                continue
             raise ValueError(f"expected ',' or '}}' at position {pos}")
+        else:
+            return s, pos
 
 
 # -- common constructions --------------------------------------------------

@@ -179,9 +179,11 @@ class Interpreter:
     """Forcing values of formulas over a fixed finite name universe.
 
     Equality values are memoized; the recursion is well founded because
-    entries of a name are strictly shallower than the name.  Ordered-pair
-    names are memoized too, so each is built once per interpreter; the
-    memos die with it, and the weak unique table can free their names."""
+    entries of a name are strictly shallower than the name.  Equality stops
+    at the first empty conjunct and membership once its join reaches top,
+    since no later operand can change the value.  Ordered-pair names are
+    memoized too, so each is built once per interpreter; the memos die
+    with it, and the weak unique table can free their names."""
 
     def __init__(self, universe: NameUniverse):
         self.u = universe
@@ -201,9 +203,11 @@ class Interpreter:
 
     def term_name(self, term: Term, env: dict) -> Name:
         if isinstance(term, Lit):
-            if term.value not in self._check:
-                self._check[term.value] = check_name(term.value, self.t)
-            return self._check[term.value]
+            name = self._check.get(term.value)
+            if name is None:
+                name = check_name(term.value, self.t)
+                self._check[term.value] = name
+            return name
         try:
             val = env[term.name]
         except KeyError:
@@ -219,33 +223,54 @@ class Interpreter:
 
     def eq(self, a: Name, b: Name) -> FrameElement:
         key = (a, b)
-        if key in self._eq:
-            return self._eq[key]
-        t = self.t
-        conjuncts = []
-        for x, px in a.entries:
-            conjuncts.append(tp.implies(t, px, self.mem(x, b)))
-        for y, qy in b.entries:
-            conjuncts.append(tp.implies(t, qy, self.mem(y, a)))
-        out = tp.big_meet(t, conjuncts)
+        out = self._eq.get(key)
+        if out is not None:
+            return out
+        out = self._included(a, b, tp.top(self.t))
+        if a is not b:  # for a is b the mirrored half repeats the first
+            out = self._included(b, a, out)
         self._eq[key] = out
         self._eq[(b, a)] = out
         return out
 
     def mem(self, a: Name, b: Name) -> FrameElement:
         key = (a, b)
-        if key in self._mem:
-            return self._mem[key]
-        t = self.t
-        out = tp.big_join(t, (tp.meet(t, q, self.eq(a, y))
-                              for y, q in b.entries))
-        self._mem[key] = out
+        out = self._mem.get(key)
+        if out is None:
+            out = self._mem[key] = self._weighted_join(a, b.entries)
         return out
 
     def class_mem(self, a: Name, cls: ClassName) -> FrameElement:
+        return self._weighted_join(a, cls.entries)
+
+    def _included(self, a: Name, b: Name, acc: FrameElement) -> FrameElement:
+        """acc met with px -> mem(x, b) for every entry (x, px) of a.
+
+        Stops once the meet is empty.  For an empty px, px -> q is the same
+        whatever q is, so that conjunct makes no mem call."""
         t = self.t
-        return tp.big_join(t, (tp.meet(t, q, self.eq(a, y))
-                               for y, q in cls.entries))
+        for x, px in a.entries:
+            if not acc:
+                break
+            q = self.mem(x, b) if px else frozenset()
+            acc = acc & tp.implies(t, px, q)
+        return acc
+
+    def _weighted_join(self, a: Name, entries) -> FrameElement:
+        """The join of q meet eq(a, y) over the entries (y, q).
+
+        Entries of empty weight add nothing and make no eq call.  Stops once
+        the union reaches top: every eq value lies below top, so the rest
+        cannot add to it."""
+        t = self.t
+        top = tp.top(t)
+        acc = frozenset()
+        for y, q in entries:
+            if q:
+                acc = acc | (q & self.eq(a, y))
+                if acc == top:
+                    break
+        return tp.nucleus(t, acc)
 
     def value(self, f: Formula, env: dict | None = None) -> FrameElement:
         env = env or {}
@@ -402,9 +427,7 @@ def powerset_name(a: Name, u: NameUniverse,
 
 def subset_value(it: Interpreter, c: Name, a: Name) -> FrameElement:
     """Forcing value of "c is a subset of a"."""
-    t = it.t
-    return tp.big_meet(t, (tp.implies(t, px, it.mem(x, a))
-                           for x, px in c.entries))
+    return it._included(c, a, tp.top(it.t))
 
 
 # -- text interchange ------------------------------------------------------

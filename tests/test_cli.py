@@ -118,6 +118,22 @@ def test_l_stage_and_hadd(capsys):
     assert run(["l-stage", "3", "3", "--max-size", "10"]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hadd", "--", "-1", "0"], "finite ordinals only"),
+    (["hadd", "--", "0", "-1"], "finite ordinals only"),
+    (["l-stage", "--", "-1", "1"], "finite ordinals only"),
+    (["l-stage", "--", "1", "-1"], "k must be a natural number"),
+    (["l-stage", "--", "0", "-1"], "k must be a natural number"),
+    (["parse", "x = {,}"],
+     "formula syntax error: expected '{' at position 5"),
+])
+def test_input_errors_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_regular(capsys):
     assert run(["check-regular", "{{}}", "--level", "regular"]) == 0
     assert out_of(capsys) == "ok\n"

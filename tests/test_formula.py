@@ -322,6 +322,14 @@ def test_deep_formulas_render_and_parse_errors():
         parse("x = " + "{" * 3000 + "}" * 3000)
 
 
+def test_malformed_hf_literal_is_a_syntax_error():
+    for text, message in [("x = {,}", "expected '{' at position 5"),
+                          ("x in {{}", "unterminated set literal")]:
+        with pytest.raises(FormulaSyntaxError) as e:
+            parse(text)
+        assert str(e.value) == message
+
+
 def test_deep_formulas_walk():
     f = Eq(Var("x"), Var("x"))
     for i in range(3000):

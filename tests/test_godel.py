@@ -239,6 +239,14 @@ def test_l_stage():
         assert l_stage(beta, 1).is_subset(l_stage(beta + 1, 1))
 
 
+def test_stages_reject_negative_arguments():
+    with pytest.raises(ValueError, match="^finite ordinals only$"):
+        l_stage(-1, 1)
+    for stage in (lambda: l_stage(0, -1), lambda: def_stage(EMPTY, -1)):
+        with pytest.raises(ValueError, match="^k must be a natural number$"):
+            stage()
+
+
 def test_hereditary_add_values():
     assert hereditary_add(0, 0) == 1
     assert hereditary_add(0, 2) == 3

@@ -57,6 +57,45 @@ def test_parse_deep_literal_raises_value_error():
     assert parse_hf(deep).rank() == 199
 
 
+def test_parse_does_not_recurse():
+    """The parser keeps open sets on a stack: its reach and its errors do
+    not depend on the recursion limit."""
+    top_rank = "{" * (hf.MAX_PARSE_DEPTH + 1) + "}" * (hf.MAX_PARSE_DEPTH + 1)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        with pytest.raises(ValueError, match="^nested too deeply$"):
+            parse_hf("{" * 3000 + "}" * 3000)
+        with pytest.raises(ValueError, match="^nested too deeply$"):
+            parse_hf("{" + top_rank + "}")
+        s = parse_hf(top_rank)
+    finally:
+        sys.setrecursionlimit(old)
+    assert sys.getrecursionlimit() == old
+    rank = 0
+    while s != EMPTY:
+        (s,) = s
+        rank += 1
+    assert rank == hf.MAX_PARSE_DEPTH
+
+
+def test_parse_round_trips_v4():
+    v4 = hf.v_stage(4)
+    assert parse_hf(str(v4)) is v4
+    for s in v4:
+        assert parse_hf(str(s)) is s
+        spaced = " , ".join(str(x) for x in s)
+        assert parse_hf(f" {{ {spaced} }} ") is s
+    for text, message in [("{", "expected '{' at position 1"),
+                          ("{{}", "unterminated set literal"),
+                          ("{{}{}}", "expected ',' or '}' at position 3"),
+                          ("{{},}", "expected '{' at position 4"),
+                          ("{} {}", "trailing input at position 3: '{}'")]:
+        with pytest.raises(ValueError) as e:
+            parse_hf(text)
+        assert str(e.value) == message
+
+
 @given(hf_strategy())
 def test_serialize_parse_inverse(s):
     assert parse_hf(str(s)) == s

@@ -512,3 +512,123 @@ def test_collection_matches_reference(t):
                     _collection_value_reference(it, a, r, b)
                 compared += bool(b.entries)
     assert compared > 0
+
+
+# -- early exits in eq and mem ----------------------------------------------
+
+
+class _FullFoldInterpreter:
+    """eq and mem as full folds over every conjunct and disjunct, with no
+    early exit: the reference the interpreter's shortcuts must match."""
+
+    def __init__(self, t):
+        self.t = t
+        self._eq = {}
+        self._mem = {}
+
+    def eq(self, a, b):
+        key = (a, b)
+        if key in self._eq:
+            return self._eq[key]
+        t = self.t
+        conjuncts = []
+        for x, px in a.entries:
+            conjuncts.append(tp.implies(t, px, self.mem(x, b)))
+        for y, qy in b.entries:
+            conjuncts.append(tp.implies(t, qy, self.mem(y, a)))
+        out = tp.big_meet(t, conjuncts)
+        self._eq[key] = out
+        self._eq[(b, a)] = out
+        return out
+
+    def mem(self, a, b):
+        key = (a, b)
+        if key not in self._mem:
+            self._mem[key] = self.class_mem(a, b)
+        return self._mem[key]
+
+    def class_mem(self, a, cls):
+        t = self.t
+        return tp.big_join(t, (tp.meet(t, q, self.eq(a, y))
+                               for y, q in cls.entries))
+
+    def subset(self, c, a):
+        t = self.t
+        return tp.big_meet(t, (tp.implies(t, px, self.mem(x, a))
+                               for x, px in c.entries))
+
+
+def _assert_matches_full_fold(t, pool, u):
+    ref = _FullFoldInterpreter(t)
+    pairs = list(itertools.product(pool, repeat=2))
+    expected = {(a, b): (ref.eq(a, b), ref.mem(a, b), ref.subset(a, b))
+                for a, b in pairs}
+    for order in (pairs, pairs[::-1]):
+        it = Interpreter(u)
+        for a, b in order:
+            assert (it.eq(a, b), it.mem(a, b), subset_value(it, a, b)) \
+                == expected[(a, b)], (a, b)
+
+
+@pytest.mark.parametrize("t, depth", [(OMEGA, 2), (CHAIN, 2), (ANTICHAIN, 1)],
+                         ids=["omega-2", "chain-2", "antichain-1"])
+def test_eq_and_mem_match_full_fold(t, depth):
+    u = name_universe(t, depth)
+    _assert_matches_full_fold(t, u.names, u)
+
+
+def test_early_exits_do_not_need_frame_weights():
+    """Weights that are not frame elements, tokens off the carrier among
+    them, give the full fold's values too."""
+    weights = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab"),
+               frozenset("z"), frozenset("az"), frozenset("abz")]
+    assert not {frozenset("b"), frozenset("z")} & set(frame_elements(CHAIN))
+    shallow = [EMPTY_NAME] + [make_name([(EMPTY_NAME, w)])
+                              for w in weights]
+    pool = shallow + [make_name([(x, w), (y, v)])
+                      for x, y in itertools.combinations(shallow[:4], 2)
+                      for w, v in itertools.product(weights[::2], repeat=2)]
+    _assert_matches_full_fold(CHAIN, pool, name_universe(CHAIN, 1))
+    ref, it = _FullFoldInterpreter(CHAIN), Interpreter(name_universe(CHAIN, 1))
+    cls = make_class_name((x, w) for x, w in zip(pool, itertools.cycle(weights)))
+    for a in pool:
+        assert it.class_mem(a, cls) == ref.class_mem(a, cls)
+
+
+def _count_outer_mem_calls(monkeypatch):
+    """Records the mem calls not made from inside another mem call."""
+    calls, depth = [], [0]
+    original = Interpreter.mem
+
+    def counting(self, a, b):
+        if not depth[0]:
+            calls.append((a, b))
+        depth[0] += 1
+        try:
+            return original(self, a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Interpreter, "mem", counting)
+    return calls
+
+
+def test_eq_stops_at_an_empty_conjunct(monkeypatch):
+    calls = _count_outer_mem_calls(monkeypatch)
+    two = check_name(hfset(EMPTY, ONE), OMEGA)
+    one = check_name(ONE, OMEGA)
+    first = two.entries[0][0]
+    assert first is one  # {0} is not a member of 1: the first conjunct is empty
+    assert Interpreter(u_omega(2)).eq(two, one) == BOT == frozenset()
+    assert calls == [(one, one)]
+
+
+def test_eq_of_a_name_with_itself_skips_the_mirror_and_empty_weights(
+        monkeypatch):
+    calls = _count_outer_mem_calls(monkeypatch)
+    u = name_universe(CHAIN, 2)
+    assert any(not p for a in u.names for _, p in a.entries)
+    for a in u.names:
+        calls.clear()
+        assert Interpreter(u).eq(a, a) == tp.top(CHAIN)
+        assert calls == [(x, a) for x, p in a.entries if p]

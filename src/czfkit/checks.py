@@ -27,7 +27,7 @@ class RegularityReport:
     failures: tuple[str, ...] = ()
 
 
-def _is_regular(a_set: HFSet, max_count: int) -> str | None:
+def _is_regular(a_set: HFSet) -> str | None:
     """Every multi-valued function from a member into the set has an image
     inside the set.  Returns a description of a counterexample, or None.
 
@@ -72,7 +72,7 @@ def check_regular(a_set: HFSet, level: RegularityLevel,
     if not a_set.is_transitive():
         raise ValueError("regularity checks require a transitive set")
     failures: list[str] = []
-    counterexample = _is_regular(a_set, max_count)
+    counterexample = _is_regular(a_set)
     if counterexample is not None:
         failures.append(f"regularity: {counterexample}")
     if level is RegularityLevel.BCST:

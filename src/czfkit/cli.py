@@ -38,7 +38,7 @@ def _read_topology(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return tp.parse_topology(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read topology file: {e}") from None
     except tp.TopologyError as e:
         raise _InputError(f"bad topology file: {e}") from None
@@ -51,16 +51,25 @@ def _read_topology(path: str):
 MAX_NAME_DEPTH = 200
 
 
-def _name_depth(text: str) -> int:
-    """The depth of the name written in text, from its parentheses."""
+def _nesting(text: str, opener: str, closer: str) -> int:
+    """How deep opener/closer pairs nest in text, less one: the depth of a
+    name written with parentheses, the rank of an HF literal in braces."""
     level = deepest = 0
     for ch in text:
-        if ch == "(":
+        if ch == opener:
             level += 1
             deepest = max(deepest, level)
-        elif ch == ")":
+        elif ch == closer:
             level -= 1
     return deepest - 1
+
+
+def _check_literal_depth(text: str) -> None:
+    """HF literals in text that become names obey MAX_NAME_DEPTH too."""
+    # Measured on the text: HFSet.rank recurses.
+    if _nesting(text, "{", "}") > MAX_NAME_DEPTH:
+        raise _InputError(
+            f"bad hf literal: nested deeper than {MAX_NAME_DEPTH} levels")
 
 
 def _parse_name(text: str, t):
@@ -68,7 +77,7 @@ def _parse_name(text: str, t):
     element of t."""
     # Measured on the text, before parsing: every name stores its
     # serialization, so building a chain n names deep takes O(n^2) memory.
-    if _name_depth(text) > MAX_NAME_DEPTH:
+    if _nesting(text, "(", ")") > MAX_NAME_DEPTH:
         raise _InputError(
             f"bad name: nested deeper than {MAX_NAME_DEPTH} levels")
     try:
@@ -87,7 +96,7 @@ def _parse_name(text: str, t):
     return name
 
 
-def _parse_env(pairs, universe=None, topology=None):
+def _parse_env(pairs, topology=None):
     """var=HF assignments; with a topology the values become names."""
     env = {}
     for item in pairs or []:
@@ -95,18 +104,27 @@ def _parse_env(pairs, universe=None, topology=None):
             raise _InputError(f"bad assignment {item!r}, expected var=value")
         var, val = item.split("=", 1)
         var = var.strip()
-        if topology is not None:
-            if val.strip().startswith("("):
-                env[var] = _parse_name(val, topology)
-            else:
-                env[var] = nm.check_name(_parse_hf(val), topology)
-        else:
+        if topology is None:
             env[var] = _parse_hf(val)
+        elif val.strip().startswith("("):
+            env[var] = _parse_name(val, topology)
+        else:
+            x = _parse_hf(val)
+            _check_literal_depth(val)
+            env[var] = nm.check_name(x, topology)
     return env
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=20000)
+def _natural(text: str) -> int:
+    """argparse type for counts: a natural number."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a natural number: {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("l-stage", help="constructible stage")
     p.add_argument("alpha", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--max-size", type=int, default=4096)
+    p.add_argument("--max-size", type=_natural, default=4096)
 
     p = sub.add_parser("hadd", help="hereditary ordinal addition")
     p.add_argument("alpha", type=int)
@@ -157,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set", help="hf literal, transitive")
     p.add_argument("--level", required=True,
                    choices=[l.value for l in checks.RegularityLevel])
-    _add_common(p)
+    p.add_argument("--budget", type=_natural, default=20000)
 
     p = sub.add_parser("check-elementary", help="bounded-formula transfer")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--map", action="append", required=True,
                    help="hf-literal=>hf-literal")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_natural, default=1)
 
     p = sub.add_parser("topology-validate", help="check the cover axioms")
     p.add_argument("--topology", required=True)
@@ -175,20 +193,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpret", help="forcing value of a formula")
     p.add_argument("formula")
     p.add_argument("--topology", required=True)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_natural, default=1)
     p.add_argument("--env", action="append",
                    help="var=hf-literal or var=name")
 
     p = sub.add_parser("witness-collection", help="strong collection witness")
     p.add_argument("--topology", required=True)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_natural, default=1)
     p.add_argument("--a", required=True, help="name")
     p.add_argument("--r", required=True, help="name")
     p.add_argument("--p", required=True, help="frame element, e.g. {0}")
 
     p = sub.add_parser("powerset-name", help="power set witness name")
     p.add_argument("--topology", required=True)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_natural, default=1)
     p.add_argument("--name", required=True)
 
     p = sub.add_parser("translate", help="double-negation translation")
@@ -196,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in tr.AtomicMode],
                    default=tr.AtomicMode.GOEDEL_GENTZEN.value)
     p.add_argument("--topology", help="needed in semantic mode")
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_natural, default=1)
     p.add_argument("--env", action="append")
 
     p = sub.add_parser("prove", help="sequent proof search")
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", action="append", help="antecedent formula")
     p.add_argument("--logic", choices=["int", "classical"], default="int")
     p.add_argument("--cut", action="store_true")
-    _add_common(p)
+    p.add_argument("--budget", type=_natural, default=20000)
 
     p = sub.add_parser("eliminate-classes", help="rewrite class atoms away")
     p.add_argument("goal")
@@ -213,35 +231,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _truth(out, ok: bool) -> int:
+    out.write(("true" if ok else "false") + "\n")
+    return 0 if ok else 1
+
+
+def _report(out, lines, ok_line: str) -> int:
+    """ok_line and exit 0 when there are no failure lines, else the lines
+    and exit 1."""
+    for line in lines or [ok_line]:
+        out.write(line + "\n")
+    return 1 if lines else 0
+
+
+# The library exceptions that mean bad input, per command; run reports them
+# as exit 2.  Anything else a command raises is a bug and propagates.
+_INPUT_ERRORS = {
+    "classify": (hierarchy.HierarchyError,),
+    "hf-sat": (semantics.UnassignedVariable, ValueError),
+    "eliminate-classes": (pv.ClassEliminationError,),
+    **dict.fromkeys(["hierarchy", "compile", "hf-eval", "l-stage", "hadd",
+                     "check-regular", "check-elementary", "interpret",
+                     "witness-collection", "translate"], (ValueError,)),
+}
+
+
 def _cmd(args) -> int:
     out = sys.stdout
     if args.command == "parse":
         out.write(render(_parse_formula(args.formula)) + "\n")
         return 0
-    if args.command == "classify":
+    if args.command in ("classify", "hierarchy"):
         extra = frozenset(x for x in args.extra.split(",") if x)
-        try:
-            sigma, pi = hierarchy.classify(_parse_formula(args.formula), extra)
-        except hierarchy.HierarchyError as e:
-            raise _InputError(str(e)) from None
-        out.write(f"Sigma {sigma.level} / Pi {pi.level}\n")
-        return 0
-    if args.command == "hierarchy":
-        extra = frozenset(x for x in args.extra.split(",") if x)
-        side = hierarchy.Side.SIGMA if args.side == "sigma" else hierarchy.Side.PI
-        try:
-            ok = hierarchy.in_level(_parse_formula(args.formula), side,
-                                    args.level, extra)
-        except (hierarchy.HierarchyError, ValueError) as e:
-            raise _InputError(str(e)) from None
-        out.write(("true" if ok else "false") + "\n")
-        return 0 if ok else 1
+        f = _parse_formula(args.formula)
+        if args.command == "classify":
+            sigma, pi = hierarchy.classify(f, extra)
+            out.write(f"Sigma {sigma.level} / Pi {pi.level}\n")
+            return 0
+        side = hierarchy.Side[args.side.upper()]
+        return _truth(out, hierarchy.in_level(f, side, args.level, extra))
     if args.command == "compile":
-        try:
-            term = godel.compile_bounded(_parse_formula(args.formula),
-                                         args.arity)
-        except (godel.CompileError, ValueError) as e:
-            raise _InputError(str(e)) from None
+        term = godel.compile_bounded(_parse_formula(args.formula), args.arity)
         out.write(godel.opterm_render(term) + "\n")
         return 0
     if args.command == "hf-eval":
@@ -249,22 +279,13 @@ def _cmd(args) -> int:
         if symbol not in godel.OP_SYMBOLS:
             raise _InputError(f"unknown operation {args.op!r}")
         sets = [_parse_hf(a) for a in args.args]
-        try:
-            result = godel.fundamental_op(symbol, sets)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        out.write(str(result) + "\n")
+        out.write(str(godel.fundamental_op(symbol, sets)) + "\n")
         return 0
     if args.command == "hf-sat":
         universe = _parse_hf(args.universe)
         env = _parse_env(args.env)
-        try:
-            ok = semantics.satisfies(universe, _parse_formula(args.formula),
-                                     env)
-        except (semantics.UnassignedVariable, ValueError) as e:
-            raise _InputError(str(e)) from None
-        out.write(("true" if ok else "false") + "\n")
-        return 0 if ok else 1
+        return _truth(out, semantics.satisfies(
+            universe, _parse_formula(args.formula), env))
     if args.command == "lfp":
         rules = []
         for raw in args.rule:
@@ -272,37 +293,21 @@ def _cmd(args) -> int:
                 raise _InputError(f"bad rule {raw!r}, expected X|-a")
             prem, concl = raw.split("|-", 1)
             rules.append((_parse_hf(prem), _parse_hf(concl)))
-        phi = relations.InductiveDef(frozenset(rules))
-        stages = relations.lfp_stages(phi)
-        if args.stages:
-            for s in stages:
-                out.write(str(s) + "\n")
-        else:
-            out.write(str(stages[-1]) + "\n")
+        stages = relations.lfp_stages(relations.InductiveDef(frozenset(rules)))
+        for s in stages if args.stages else stages[-1:]:
+            out.write(str(s) + "\n")
         return 0
-    if args.command in ("l-stage", "hadd"):
-        try:
-            if args.command == "l-stage":
-                result = godel.l_stage(args.alpha, args.k, args.max_size)
-            else:
-                result = godel.hereditary_add(args.alpha, args.gamma)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        out.write(f"{result}\n")
+    if args.command == "l-stage":
+        out.write(f"{godel.l_stage(args.alpha, args.k, args.max_size)}\n")
+        return 0
+    if args.command == "hadd":
+        out.write(f"{godel.hereditary_add(args.alpha, args.gamma)}\n")
         return 0
     if args.command == "check-regular":
-        level = checks.RegularityLevel(args.level)
-        try:
-            report = checks.check_regular(_parse_hf(args.set), level,
-                                          max_count=args.budget)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        if report.ok:
-            out.write("ok\n")
-            return 0
-        for fail in report.failures:
-            out.write(fail + "\n")
-        return 1
+        report = checks.check_regular(_parse_hf(args.set),
+                                      checks.RegularityLevel(args.level),
+                                      max_count=args.budget)
+        return _report(out, report.failures, "ok")
     if args.command == "check-elementary":
         graph = {}
         for raw in args.map:
@@ -310,11 +315,8 @@ def _cmd(args) -> int:
                 raise _InputError(f"bad map entry {raw!r}, expected x=>y")
             k, v = raw.split("=>", 1)
             graph[_parse_hf(k)] = _parse_hf(v)
-        try:
-            j = checks.EmbeddingMap(_parse_hf(args.source),
-                                    _parse_hf(args.target), graph)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
+        j = checks.EmbeddingMap(_parse_hf(args.source), _parse_hf(args.target),
+                                graph)
         report = checks.check_elementary(j, args.depth)
         if report.ok:
             out.write(f"ok ({report.checked} instances)\n")
@@ -324,68 +326,47 @@ def _cmd(args) -> int:
         return 1
     if args.command == "topology-validate":
         violations = tp.validate(_read_topology(args.topology))
-        if not violations:
-            out.write("valid\n")
-            return 0
-        for v in violations:
-            out.write(f"{v.axiom}: {v.detail}\n")
-        return 1
+        return _report(out, [f"{v.axiom}: {v.detail}" for v in violations],
+                       "valid")
     if args.command == "frame":
-        t = _read_topology(args.topology)
-        for p in tp.frame_elements(t):
+        for p in tp.frame_elements(_read_topology(args.topology)):
             out.write(tp.render_frame_element(p) + "\n")
         return 0
-    if args.command == "interpret":
-        t = _read_topology(args.topology)
-        u = nm.name_universe(t, args.depth)
-        env = _parse_env(args.env, topology=t)
-        try:
-            value = nm.interpret(_parse_formula(args.formula), env, u)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        out.write(tp.render_frame_element(value) + "\n")
-        return 0
-    if args.command == "witness-collection":
-        t = _read_topology(args.topology)
-        u = nm.name_universe(t, args.depth)
-        a = _parse_name(args.a, t)
-        r = _parse_name(args.r, t)
-        try:
-            p = tp.parse_frame_element(args.p)
-        except tp.TopologyError as e:
-            raise _InputError(str(e)) from None
-        if p not in tp.frame_elements(t):
-            raise _InputError(f"--p {tp.render_frame_element(p)} is not a "
-                              "frame element of the topology")
-        try:
-            b = nm.strong_collection_witness(a, r, p, u)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        out.write(nm.serialize_name(b) + "\n")
-        return 0
-    if args.command == "powerset-name":
-        t = _read_topology(args.topology)
-        u = nm.name_universe(t, args.depth)
-        a = _parse_name(args.name, t)
-        out.write(nm.serialize_name(nm.powerset_name(a, u)) + "\n")
-        return 0
     if args.command == "translate":
-        mode = tr.AtomicMode(args.mode)
         f = _parse_formula(args.formula)
+        mode = tr.AtomicMode(args.mode)
         if mode is tr.AtomicMode.GOEDEL_GENTZEN:
             out.write(render(tr.dn_translate(f)) + "\n")
             return 0
         if not args.topology:
             raise _InputError("semantic mode needs --topology")
+        _check_literal_depth(args.formula)
+    # translate reaches the forcing commands only in semantic mode
+    if args.command in ("interpret", "witness-collection", "powerset-name",
+                        "translate"):
         t = _read_topology(args.topology)
         u = nm.name_universe(t, args.depth)
+        if args.command == "witness-collection":
+            a = _parse_name(args.a, t)
+            r = _parse_name(args.r, t)
+            p = tp.parse_frame_element(args.p)
+            if p not in tp.frame_elements(t):
+                raise _InputError(f"--p {tp.render_frame_element(p)} is not a "
+                                  "frame element of the topology")
+            b = nm.strong_collection_witness(a, r, p, u)
+            out.write(nm.serialize_name(b) + "\n")
+            return 0
+        if args.command == "powerset-name":
+            a = _parse_name(args.name, t)
+            out.write(nm.serialize_name(nm.powerset_name(a, u)) + "\n")
+            return 0
         env = _parse_env(args.env, topology=t)
-        try:
-            truth = tr.dn_translate(f, mode, u, env)
-        except ValueError as e:
-            raise _InputError(str(e)) from None
-        out.write(("true" if truth else "false") + "\n")
-        return 0 if truth else 1
+        if args.command == "translate":
+            return _truth(out, tr.dn_translate(f, mode, u, env))
+        f = _parse_formula(args.formula)
+        _check_literal_depth(args.formula)
+        out.write(tp.render_frame_element(nm.interpret(f, env, u)) + "\n")
+        return 0
     if args.command == "prove":
         left = [_parse_formula(x) for x in args.left or []]
         right = [_parse_formula(args.formula)]
@@ -404,10 +385,7 @@ def _cmd(args) -> int:
     if args.command == "eliminate-classes":
         axioms = [_parse_formula(x) for x in args.axiom]
         goal = _parse_formula(args.goal)
-        try:
-            new_axioms, new_goal = pv.eliminate_classes(axioms, goal)
-        except pv.ClassEliminationError as e:
-            raise _InputError(str(e)) from None
+        new_axioms, new_goal = pv.eliminate_classes(axioms, goal)
         for a in new_axioms:
             out.write("axiom: " + render(a) + "\n")
         out.write("goal: " + render(new_goal) + "\n")
@@ -423,7 +401,7 @@ def run(argv: list[str]) -> int:
         return 2 if e.code else 0
     try:
         return _cmd(args)
-    except _InputError as e:
+    except (_InputError, *_INPUT_ERRORS.get(args.command, ())) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -312,14 +312,9 @@ class _Compiler:
             inner = self.atom(f, slots[:-1], ctx)
             return _app("times", slots[-1], inner)
         low = min(i, j)
-        if low == top:
-            # both sides are x_m
+        if low in (0, top):
+            # x_m against itself or a literal
             rel = self.single_var_atom(f, slots[-1])
-            return rel if m == 1 else _app("times", rel, self.prod(slots[:-1]))
-        if low == 0:
-            # x_m against a literal
-            lit_atom = f  # shape already has one Var, one Lit
-            rel = self.single_var_atom(lit_atom, slots[-1])
             return rel if m == 1 else _app("times", rel, self.prod(slots[:-1]))
         # x_m against x_low: build the pair relation {<x_m, x_low>}
         s_top, s_low = slots[top - 1], slots[low - 1]

@@ -246,11 +246,7 @@ def product(a: HFSet, b: HFSet) -> HFSet:
 
 
 def powerset(s: HFSet) -> HFSet:
-    elems = list(s)
-    out = []
-    for mask in range(1 << len(elems)):
-        out.append(HFSet(e for i, e in enumerate(elems) if mask >> i & 1))
-    return HFSet(out)
+    return HFSet(subsets(s))
 
 
 def subsets(s: HFSet) -> Iterator[HFSet]:

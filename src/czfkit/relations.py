@@ -28,9 +28,6 @@ class MVRelation:
             if x not in self.domain:
                 raise ValueError(f"pair source {x} outside the declared domain")
 
-    def as_pair_set(self) -> HFSet:
-        return HFSet(hf.kpair(x, y) for x, y in self.pairs)
-
 
 def is_mv(r: MVRelation, direction: Direction = Direction.FORWARD) -> bool:
     """Forward: total on the domain with values in the codomain; both adds

@@ -1,5 +1,10 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from czfkit import hierarchy, names
 from czfkit.cli import MAX_NAME_DEPTH, run
 
 
@@ -225,6 +230,82 @@ def test_interpret_rejects_deep_hf_literal(capsys, omega_path):
     assert captured.err == "error: bad hf literal: nested too deeply\n"
 
 
+def literal(rank):
+    """The HF literal {{...{}...}} of the given rank."""
+    return "{" * (rank + 1) + "}" * (rank + 1)
+
+
+@pytest.mark.parametrize("rank", [MAX_NAME_DEPTH, MAX_NAME_DEPTH + 1, 300])
+@pytest.mark.parametrize("argv", [
+    ["interpret", "x = x", "--env", "x=L"],
+    ["interpret", "x = L", "--env", "x=L"],
+    ["interpret", "x = L", "--env", "x={}"],
+    ["translate", "x = x", "--mode", "semantic", "--env", "x=L"],
+    ["translate", "x = L", "--mode", "semantic", "--env", "x=L"],
+], ids=["interpret-env", "interpret-formula", "interpret-formula-only",
+        "translate-env", "translate-formula"])
+def test_hf_literals_that_become_names_are_capped(capsys, omega_path, argv,
+                                                  rank):
+    argv = [a.replace("L", literal(rank)) for a in argv]
+    code = run(argv + ["--topology", omega_path])
+    captured = capsys.readouterr()
+    if rank <= MAX_NAME_DEPTH:
+        assert code == 0 and captured.err == ""
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bad hf literal: nested deeper than "
+                            f"{MAX_NAME_DEPTH} levels\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["interpret", "x = x", "--depth", "-1", "--topology", "T"],
+    ["witness-collection", "--depth", "-1", "--topology", "T",
+     "--a", "()", "--r", "()", "--p", "{0}"],
+    ["powerset-name", "--depth", "-1", "--topology", "T", "--name", "()"],
+    ["translate", "x = x", "--mode", "semantic", "--depth", "-1",
+     "--topology", "T"],
+    ["check-elementary", "--source", "{{}}", "--target", "{{}}",
+     "--map", "{}=>{}", "--depth", "-1"],
+    ["check-regular", "{{}}", "--level", "regular", "--budget", "-1"],
+    ["prove", "x = x", "--budget", "-1"],
+    ["l-stage", "1", "1", "--max-size", "-1"],
+], ids=lambda argv: argv[0])
+def test_negative_counts_exit_2(capsys, omega_path, argv):
+    argv = [omega_path if a == "T" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a natural number: '-1'" in captured.err
+
+
+def test_unreadable_topology_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.top"
+    path.write_bytes(b"carrier: \xe9\n")
+    for argv in (["frame"], ["interpret", "x = x"]):
+        assert run(argv + ["--topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read topology file: ")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["classify", "x = x"], (hierarchy, "classify")),
+    (["powerset-name", "--topology", "T", "--name", "()"],
+     (names, "powerset_name")),
+], ids=["classify", "powerset-name"])
+def test_undeclared_library_errors_propagate(monkeypatch, omega_path, argv,
+                                             target):
+    """A ValueError a command does not declare as bad input is a bug: run
+    lets it through rather than reporting exit 2."""
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(*target, broken)
+    with pytest.raises(ValueError, match="library bug"):
+        run([omega_path if a == "T" else a for a in argv])
+
+
 NAME_OPTIONS = {
     "--a": ["witness-collection", "--r", "()", "--p", "{0}"],
     "--r": ["witness-collection", "--a", "()", "--p", "{0}"],
@@ -325,3 +406,68 @@ def test_usage_errors():
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["classify"]) == 2
+
+
+FUZZ_TOKENS = ["{}", "{", "}", "(", ")", "()", "{0}", "{a}", "=", " = ",
+               " in ", "in", "~", "->", "&", "|", "x", "y", "x1", "M", "ex x.",
+               "all x.", ",", "=>", "|-", " ", "0", "1", "-1"]
+
+# Each subcommand's argv after its name: "T" is drawn text, "N" a drawn
+# count and "TOP" a drawn topology file.
+FUZZ_ARGV = {
+    "parse": ["T"],
+    "classify": ["T", "--extra", "T"],
+    "hierarchy": ["T", "--side", "sigma", "--level", "N"],
+    "compile": ["T", "--arity", "N"],
+    "hf-eval": ["T", "T", "T"],
+    "hf-sat": ["T", "--universe", "T", "--env", "T"],
+    "lfp": ["--rule", "T", "--rule", "T", "--stages"],
+    "l-stage": ["N", "N", "--max-size", "N"],
+    "hadd": ["N", "N"],
+    "check-regular": ["T", "--level", "bcst", "--budget", "N"],
+    "check-elementary": ["--source", "T", "--target", "T", "--map", "T",
+                         "--depth", "N"],
+    "topology-validate": ["--topology", "TOP"],
+    "frame": ["--topology", "TOP"],
+    "interpret": ["T", "--topology", "TOP", "--depth", "N", "--env", "T"],
+    "witness-collection": ["--topology", "TOP", "--depth", "N", "--a", "T",
+                           "--r", "T", "--p", "T"],
+    "powerset-name": ["--topology", "TOP", "--depth", "N", "--name", "T"],
+    "translate": ["T", "--mode", "semantic", "--topology", "TOP",
+                  "--depth", "N", "--env", "T"],
+    "prove": ["T", "--left", "T", "--budget", "N"],
+    "eliminate-classes": ["T", "--axiom", "T"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_topologies(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "omega.top").write_text(OMEGA_TOP)
+    (d / "chain.top").write_text(CHAIN_TOP)
+    return [str(d / "omega.top"), str(d / "chain.top"),
+            str(d / "missing.top")]
+
+
+@pytest.mark.parametrize("command", FUZZ_ARGV)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(fuzz_topologies, command, data):
+    """On any input: exit 0, 1, 2 or 3 and no exception; an input error
+    writes nothing to stdout; an answer writes nothing to stderr, and a
+    negative answer states its verdict."""
+    text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6).map("".join)
+    draw = {"T": text, "N": st.sampled_from(["-1", "0", "1", "x"]),
+            "TOP": st.sampled_from(fuzz_topologies)}
+    argv = [command] + [data.draw(draw[a]) if a in draw else a
+                        for a in FUZZ_ARGV[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+    if code in (0, 1):
+        assert err.getvalue() == ""
+    if code == 1:
+        assert out.getvalue().strip()

@@ -380,8 +380,8 @@ def _cmd(args) -> int:
         if result.outcome is pv.Outcome.NOT_PROVABLE:
             out.write("not provable\n")
             return 1
-        out.write("budget exceeded\n")
-        return 3
+        raise BudgetExceeded(f"{result.limit} limit reached after "
+                             f"{result.expanded} sequents expanded")
     if args.command == "eliminate-classes":
         axioms = [_parse_formula(x) for x in args.axiom]
         goal = _parse_formula(args.goal)

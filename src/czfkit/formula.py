@@ -532,12 +532,11 @@ class _Parser:
         raise self.error("expected '=' or 'in' after term")
 
 
-def parse(text: str, forbid_free: bool = False) -> Formula:
+def parse(text: str) -> Formula:
     """Parse formula source text.
 
-    With ``forbid_free`` the formula must be a sentence; any free variable
-    raises ValueError.  Input nested deeper than the recursion limit allows
-    raises FormulaSyntaxError("nested too deeply").
+    Input nested deeper than the recursion limit allows raises
+    FormulaSyntaxError("nested too deeply").
     """
     p = _Parser(text)
     try:
@@ -547,8 +546,6 @@ def parse(text: str, forbid_free: bool = False) -> Formula:
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input")
-    if forbid_free and f._fv:
-        raise ValueError(f"unbound variables: {sorted(f._fv)}")
     return f
 
 

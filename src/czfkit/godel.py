@@ -30,16 +30,6 @@ OP_SYMBOLS = (
 _ARITY = {sym: (1 if sym == "cup" else 2) for sym in OP_SYMBOLS}
 
 
-def _first(x: HFSet) -> HFSet | None:
-    p = hf.unpair(x)
-    return p[0] if p else None
-
-
-def _second(x: HFSet) -> HFSet | None:
-    p = hf.unpair(x)
-    return p[1] if p else None
-
-
 def _dom(x: HFSet) -> HFSet:
     return HFSet(p[0] for e in x if (p := hf.unpair(e)))
 
@@ -80,9 +70,10 @@ def fundamental_op(symbol: str, args: list[HFSet]) -> HFSet:
             return hf.product(args[0], args[1])
         case "imp":
             x, y = args
-            fst, snd = _first(y), _second(y)
-            if fst is None:
+            p = hf.unpair(y)
+            if p is None:
                 return HFSet()
+            fst, snd = p
             return HFSet(z for z in x if z not in fst or z in snd)
         case "forall":
             x, y = args
@@ -407,26 +398,26 @@ def _arg_tuples(a: HFSet, symbol: str):
     return ([x, y] for x in elems for y in elems)
 
 
-def expand(a: HFSet, max_size: int | None = None) -> HFSet:
+def expand(a: HFSet, max_size: int) -> HFSet:
     """a plus every fundamental-operation value on argument tuples from a."""
     out = list(a)
     for symbol in OP_SYMBOLS:
         for args in _arg_tuples(a, symbol):
             out.append(fundamental_op(symbol, args))
-            if max_size is not None and len(out) > max_size * 8:
+            if len(out) > max_size * 8:
                 break
     result = HFSet(out)
-    if max_size is not None and len(result) > max_size:
+    if len(result) > max_size:
         raise BudgetExceeded(f"expansion exceeds {max_size} elements")
     return result
 
 
-def define_step(a: HFSet, max_size: int | None = None) -> HFSet:
+def define_step(a: HFSet, max_size: int) -> HFSet:
     """One definability step: expand(a with a itself adjoined)."""
     return expand(hf.binary_union(a, hf.hfset(a)), max_size)
 
 
-def def_stage(a: HFSet, k: int, max_size: int | None = 4096) -> HFSet:
+def def_stage(a: HFSet, k: int, max_size: int = 4096) -> HFSet:
     """Union of the first k definability iterates (truncation of the full
     omega-union)."""
     if k < 0:
@@ -436,12 +427,12 @@ def def_stage(a: HFSet, k: int, max_size: int | None = 4096) -> HFSet:
     for _ in range(k):
         cur = define_step(cur, max_size)
         acc = hf.binary_union(acc, cur)
-        if max_size is not None and len(acc) > max_size:
+        if len(acc) > max_size:
             raise BudgetExceeded(f"stage exceeds {max_size} elements")
     return acc
 
 
-def l_stage(alpha: int, k: int, max_size: int | None = 4096) -> HFSet:
+def l_stage(alpha: int, k: int, max_size: int = 4096) -> HFSet:
     """Truncated constructible stage: union over beta < alpha of the
     truncated definability closure of the previous stage."""
     if alpha < 0:
@@ -453,7 +444,7 @@ def l_stage(alpha: int, k: int, max_size: int | None = 4096) -> HFSet:
         cur = EMPTY
         for prev in stages:
             cur = hf.binary_union(cur, def_stage(prev, k, max_size))
-        if max_size is not None and len(cur) > max_size:
+        if len(cur) > max_size:
             raise BudgetExceeded(f"stage exceeds {max_size} elements")
         stages.append(cur)
     return stages[alpha]

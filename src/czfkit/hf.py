@@ -264,10 +264,8 @@ def von_neumann(n: int) -> HFSet:
 
 def to_ordinal(s: HFSet) -> int | None:
     """The n with s = von_neumann(n), or None."""
-    for n in range(len(s) + 1):
-        if von_neumann(n) == s:
-            return n
-    return None
+    n = len(s)  # von_neumann(n) has exactly n members
+    return n if von_neumann(n) is s else None
 
 
 def v_stage(n: int) -> HFSet:

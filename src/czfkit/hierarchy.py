@@ -45,46 +45,30 @@ def _check_atoms(f: Formula, extra: frozenset[str]):
                 f"class atom over undeclared symbol {g.cls}; pass it in extra")
 
 
-def _in_sigma(f: Formula, n: int, memo: dict) -> bool:
-    key = (f, Side.SIGMA, n)
+_DUAL = {Side.SIGMA: Side.PI, Side.PI: Side.SIGMA}
+
+
+def _in(f: Formula, side: Side, n: int, memo: dict) -> bool:
+    key = (f, side, n)
     if key in memo:
         return memo[key]
     if n == 0:
         result = is_bounded(f)
-    elif _in_pi(f, n - 1, memo):
+    elif _in(f, _DUAL[side], n - 1, memo):
         result = True
     else:
         match f:
             case And(l, r) | Or(l, r):
-                result = _in_sigma(l, n, memo) and _in_sigma(r, n, memo)
+                result = _in(l, side, n, memo) and _in(r, side, n, memo)
             case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-                result = _in_sigma(body, n, memo)
-            case Ex(_, body):
-                result = _in_sigma(body, n, memo)
-            case _:
-                result = False
-    memo[key] = result
-    return result
-
-
-def _in_pi(f: Formula, n: int, memo: dict) -> bool:
-    key = (f, Side.PI, n)
-    if key in memo:
-        return memo[key]
-    if n == 0:
-        result = is_bounded(f)
-    elif _in_sigma(f, n - 1, memo):
-        result = True
-    else:
-        match f:
-            case And(l, r) | Or(l, r):
-                result = _in_pi(l, n, memo) and _in_pi(r, n, memo)
-            case Imp(l, r):
-                result = _in_sigma(l, n - 1, memo) and _in_pi(r, n, memo)
-            case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-                result = _in_pi(body, n, memo)
-            case All(_, body):
-                result = _in_pi(body, n, memo)
+                result = _in(body, side, n, memo)
+            case Ex(_, body) if side is Side.SIGMA:
+                result = _in(body, side, n, memo)
+            case All(_, body) if side is Side.PI:
+                result = _in(body, side, n, memo)
+            case Imp(l, r) if side is Side.PI:
+                result = (_in(l, Side.SIGMA, n - 1, memo)
+                          and _in(r, side, n, memo))
             case _:
                 result = False
     memo[key] = result
@@ -97,10 +81,7 @@ def in_level(f: Formula, side: Side, n: int,
     if n < 0:
         raise ValueError("level must be nonnegative")
     _check_atoms(f, frozenset(extra))
-    memo: dict = {}
-    if side is Side.SIGMA:
-        return _in_sigma(f, n, memo)
-    return _in_pi(f, n, memo)
+    return _in(f, side, n, {})
 
 
 def _level_cap(f: Formula) -> int:
@@ -115,6 +96,6 @@ def classify(f: Formula,
     _check_atoms(f, frozenset(extra))
     cap = _level_cap(f)
     memo: dict = {}
-    sigma = next(n for n in range(cap + 1) if _in_sigma(f, n, memo))
-    pi = next(n for n in range(cap + 1) if _in_pi(f, n, memo))
+    sigma = next(n for n in range(cap + 1) if _in(f, Side.SIGMA, n, memo))
+    pi = next(n for n in range(cap + 1) if _in(f, Side.PI, n, memo))
     return LevelResult(Side.SIGMA, sigma), LevelResult(Side.PI, pi)

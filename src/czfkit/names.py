@@ -153,8 +153,21 @@ def name_universe(t: FormalTopology, depth: int,
 
 def check_name(x: HFSet, t: FormalTopology) -> Name:
     """The canonical name of a hereditarily finite set: every hereditary
-    member appears with full weight."""
-    return make_name((check_name(y, t), tp.top(t)) for y in x)
+    member appears with full weight.  Built members first from an explicit
+    stack, so depth costs no recursion, and each distinct member once."""
+    top = tp.top(t)
+    built: dict[HFSet, Name] = {}
+    stack = [x]
+    while stack:
+        s = stack.pop()
+        if s in built:
+            continue
+        missing = [y for y in s if y not in built]
+        if missing:
+            stack += [s, *missing]
+        else:
+            built[s] = make_name((built[y], top) for y in s)
+    return built[x]
 
 
 def up(a: Name, b: Name, t: FormalTopology) -> Name:
@@ -327,25 +340,16 @@ def interpret_relativized(f: Formula, env: dict | None, sub: NameUniverse,
     full universe; the subuniverse must be included in the full one."""
     if not set(sub.names) <= set(full.names):
         raise ValueError("subuniverse is not included in the full universe")
-    if sub.topology is not full.topology and \
-            (sub.topology.carrier != full.topology.carrier
-             or sub.topology.order != full.topology.order
-             or sub.topology.cover != full.topology.cover):
+    if sub.topology != full.topology:
         raise ValueError("universes live over different topologies")
     return interpret(f, env, sub), interpret(f, env, full)
 
 
 def class_equal(a: ClassName, b: ClassName, u: NameUniverse) -> FrameElement:
-    """Extensional equality of two class names, by the same two-conjunct
+    """Extensional equality of two class names, by the same two-inclusion
     recipe as name equality."""
     it = Interpreter(u)
-    t = u.topology
-    conjuncts = []
-    for x, px in a.entries:
-        conjuncts.append(tp.implies(t, px, it.class_mem(x, b)))
-    for y, qy in b.entries:
-        conjuncts.append(tp.implies(t, qy, it.class_mem(y, a)))
-    return tp.big_meet(t, conjuncts)
+    return it._included(b, a, it._included(a, b, tp.top(u.topology)))
 
 
 # -- constructions with verified properties --------------------------------

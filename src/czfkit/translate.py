@@ -100,8 +100,7 @@ def semantic_coincidence_check(f: Formula, env: dict | None,
     """Over the double-negation topology the classical reading of the
     translation must agree with forcing the formula itself with top value.
     Returns True when the two verdicts agree."""
-    if u.topology.carrier != tp.omega().carrier \
-            or u.topology.cover != tp.omega().cover:
+    if u.topology.carrier != _TWO.carrier or u.topology.cover != _TWO.cover:
         raise ValueError("coincidence holds over the double-negation "
                          "topology; pass a universe over it")
     it = Interpreter(u)

@@ -389,7 +389,10 @@ def test_prove(capsys):
     capsys.readouterr()
     assert run(["prove", "x = x | ~(x = x)", "--logic", "classical",
                 "--budget", "1"]) == 3
-    assert out_of(capsys) == "budget exceeded\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: nodes limit reached after 1 "
+                            "sequents expanded\n")
     assert run(["prove", "y = y", "--left", "x = x & y = y"]) == 0
 
 
@@ -412,8 +415,11 @@ FUZZ_TOKENS = ["{}", "{", "}", "(", ")", "()", "{0}", "{a}", "=", " = ",
                " in ", "in", "~", "->", "&", "|", "x", "y", "x1", "M", "ex x.",
                "all x.", ",", "=>", "|-", " ", "0", "1", "-1"]
 
-# Each subcommand's argv after its name: "T" is drawn text, "N" a drawn
-# count and "TOP" a drawn topology file.
+# Whole formulas, so that a search can start and trip its budget.
+FUZZ_FORMULAS = ["x = x", "x = x | ~(x = x)", "all x. ex y. x in y"]
+
+# Each subcommand's argv after its name: "T" is drawn text, "F" drawn text
+# or a whole formula, "N" a drawn count and "TOP" a drawn topology file.
 FUZZ_ARGV = {
     "parse": ["T"],
     "classify": ["T", "--extra", "T"],
@@ -435,7 +441,7 @@ FUZZ_ARGV = {
     "powerset-name": ["--topology", "TOP", "--depth", "N", "--name", "T"],
     "translate": ["T", "--mode", "semantic", "--topology", "TOP",
                   "--depth", "N", "--env", "T"],
-    "prove": ["T", "--left", "T", "--budget", "N"],
+    "prove": ["F", "--left", "F", "--budget", "N"],
     "eliminate-classes": ["T", "--axiom", "T"],
 }
 
@@ -454,10 +460,12 @@ def fuzz_topologies(tmp_path_factory):
 @given(data=st.data())
 def test_exit_code_contract(fuzz_topologies, command, data):
     """On any input: exit 0, 1, 2 or 3 and no exception; an input error
-    writes nothing to stdout; an answer writes nothing to stderr, and a
-    negative answer states its verdict."""
+    or a tripped budget writes nothing to stdout; an answer writes nothing
+    to stderr, and a negative answer states its verdict; a tripped budget
+    writes one stderr line."""
     text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=6).map("".join)
-    draw = {"T": text, "N": st.sampled_from(["-1", "0", "1", "x"]),
+    draw = {"T": text, "F": st.one_of(text, st.sampled_from(FUZZ_FORMULAS)),
+            "N": st.sampled_from(["-1", "0", "1", "x"]),
             "TOP": st.sampled_from(fuzz_topologies)}
     argv = [command] + [data.draw(draw[a]) if a in draw else a
                         for a in FUZZ_ARGV[command]]
@@ -465,8 +473,12 @@ def test_exit_code_contract(fuzz_topologies, command, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2, 3)
-    if code == 2:
+    if code in (2, 3):
         assert out.getvalue() == ""
+    if code == 3:
+        assert err.getvalue().startswith("budget exceeded: ")
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
     if code in (0, 1):
         assert err.getvalue() == ""
     if code == 1:

@@ -145,6 +145,17 @@ def test_von_neumann_and_to_ordinal():
     assert hf.to_ordinal(hfset(hfset(EMPTY))) is None
 
 
+def test_to_ordinal_on_ordinals_and_non_ordinals():
+    # the canonical string of von_neumann(n) has about 2**(n + 1) characters
+    ordinals = {hf.von_neumann(n): n for n in range(21)}
+    for s, n in ordinals.items():
+        assert hf.to_ordinal(s) == n
+    non_ordinals = [s for s in hf.v_stage(4) if s not in ordinals]
+    assert len(non_ordinals) == 12
+    for s in non_ordinals:
+        assert hf.to_ordinal(s) is None
+
+
 def test_rank_and_transitivity():
     assert EMPTY.rank() == 0
     assert hf.von_neumann(3).rank() == 3

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
 
 from czfkit.corpus import bounded_formulas
-from czfkit.formula import is_bounded, parse
+from czfkit.formula import (
+    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, Ex, Imp, Or, is_bounded,
+    parse, subformulas,
+)
 from czfkit.hierarchy import HierarchyError, Side, classify, in_level
+from test_properties import formulas
 
 
 def levels(text, extra=frozenset()):
@@ -89,3 +94,73 @@ def test_class_atoms_need_declaration():
 def test_bounded_quantifier_transparency():
     assert levels("all y in z. ex x. x in y") == (1, 2)
     assert levels("ex y in z. all x. x in y") == (2, 1)
+
+
+# The two mirrored recursions the single one replaced, kept as the reference.
+def _ref_in_sigma(f, n, memo):
+    key = (f, Side.SIGMA, n)
+    if key in memo:
+        return memo[key]
+    if n == 0:
+        result = is_bounded(f)
+    elif _ref_in_pi(f, n - 1, memo):
+        result = True
+    else:
+        match f:
+            case And(l, r) | Or(l, r):
+                result = _ref_in_sigma(l, n, memo) and _ref_in_sigma(r, n, memo)
+            case BoundedAll(_, _, body) | BoundedEx(_, _, body):
+                result = _ref_in_sigma(body, n, memo)
+            case Ex(_, body):
+                result = _ref_in_sigma(body, n, memo)
+            case _:
+                result = False
+    memo[key] = result
+    return result
+
+
+def _ref_in_pi(f, n, memo):
+    key = (f, Side.PI, n)
+    if key in memo:
+        return memo[key]
+    if n == 0:
+        result = is_bounded(f)
+    elif _ref_in_sigma(f, n - 1, memo):
+        result = True
+    else:
+        match f:
+            case And(l, r) | Or(l, r):
+                result = _ref_in_pi(l, n, memo) and _ref_in_pi(r, n, memo)
+            case Imp(l, r):
+                result = _ref_in_sigma(l, n - 1, memo) and _ref_in_pi(r, n, memo)
+            case BoundedAll(_, _, body) | BoundedEx(_, _, body):
+                result = _ref_in_pi(body, n, memo)
+            case All(_, body):
+                result = _ref_in_pi(body, n, memo)
+            case _:
+                result = False
+    memo[key] = result
+    return result
+
+
+_REF = {Side.SIGMA: _ref_in_sigma, Side.PI: _ref_in_pi}
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_one_recursion_matches_the_mirrored_reference(f):
+    if any(isinstance(g, (BigAnd, BigOr)) for g in subformulas(f)):
+        with pytest.raises(HierarchyError):
+            classify(f)
+        for side in Side:
+            with pytest.raises(HierarchyError):
+                in_level(f, side, 1)
+        return
+    memo = {}
+    for result in classify(f):
+        member = _REF[result.side]
+        assert member(f, result.level, memo)
+        assert result.level == 0 or not member(f, result.level - 1, memo)
+    for side in Side:
+        for n in range(4):
+            assert in_level(f, side, n) == _REF[side](f, n, memo)

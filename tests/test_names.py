@@ -55,6 +55,36 @@ def test_check_name_injective_small_ranks():
     assert len(set(names)) == len(pool)
 
 
+def _check_name_reference(x, t):
+    """The recursive definition the iterative check_name must match."""
+    return make_name((_check_name_reference(y, t), tp.top(t)) for y in x)
+
+
+@pytest.mark.parametrize("t", [OMEGA, CHAIN], ids=["omega", "chain"])
+def test_check_name_matches_the_recursive_definition(t):
+    v4 = list(hf.v_stage(4))
+    pool = (v4 + [hfset(a, b) for a, b in itertools.combinations(v4, 2)]
+            + [hf.von_neumann(n) for n in range(13)])
+    for x in pool:
+        assert check_name(x, t) is _check_name_reference(x, t)
+
+
+def test_check_name_of_a_deep_set_does_not_recurse():
+    x = EMPTY
+    for _ in range(1000):
+        x = hfset(x)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        n = check_name(x, OMEGA)
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(1000):
+        ((n, p),) = n.entries
+        assert p == TOP
+    assert n is EMPTY_NAME
+
+
 def test_up_and_op_structure():
     t = OMEGA
     a = EMPTY_NAME
@@ -204,6 +234,21 @@ def test_interpret_relativized():
     assert interpret_relativized(g, None, sub, full) == (TOP, TOP)
     with pytest.raises(ValueError):
         interpret_relativized(f, None, name_universe(CHAIN, 1), full)
+
+
+def test_interpret_relativized_compares_topologies_by_value():
+    f = parse("all x. ex y. x in y")
+    sub, full = name_universe(omega(), 1), name_universe(omega(), 2)
+    assert sub.topology is not full.topology
+    assert interpret_relativized(f, None, sub, full) == \
+        interpret_relativized(f, None, u_omega(1), u_omega(2))
+    unordered = tp.FormalTopology(CHAIN.carrier, frozenset(
+        (x, x) for x in CHAIN.carrier), CHAIN.cover)
+    sub = name_universe(unordered, 1)
+    full = name_universe(CHAIN, 2)
+    assert set(sub.names) <= set(full.names)
+    with pytest.raises(ValueError, match="different topologies"):
+        interpret_relativized(f, None, sub, full)
 
 
 def test_class_names():
@@ -593,6 +638,25 @@ def test_early_exits_do_not_need_frame_weights():
     cls = make_class_name((x, w) for x, w in zip(pool, itertools.cycle(weights)))
     for a in pool:
         assert it.class_mem(a, cls) == ref.class_mem(a, cls)
+
+
+@pytest.mark.parametrize("t, weights", [
+    (OMEGA, ["", "0", "z", "0z"]),
+    (CHAIN, ["", "b", "ab", "z"]),
+], ids=["omega", "chain"])
+def test_class_equal_matches_the_full_fold(t, weights):
+    """Every pair of class names with at most two entries over a depth-1
+    universe, weights that are not frame elements among them."""
+    u = name_universe(t, 1)
+    weights = [frozenset(w) for w in weights]
+    assert set(weights) - set(frame_elements(t))
+    classes = [make_class_name(zip(keys, ws))
+               for k in range(3)
+               for keys in itertools.combinations(u.names, k)
+               for ws in itertools.product(weights, repeat=k)]
+    ref = _FullFoldInterpreter(t)
+    for a, b in itertools.product(classes, repeat=2):
+        assert class_equal(a, b, u) == ref.eq(a, b), (a, b)
 
 
 def _count_outer_mem_calls(monkeypatch):

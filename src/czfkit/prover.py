@@ -15,6 +15,10 @@ Each rule is written once, in ``_RULES``: the side and node class of its
 principal formula and a function that builds the premises of each instance.
 The search reads the table in a fixed order per logic; ``check_derivation``
 reads only the entry for each node's own rule.
+
+Each side of a sequent is sorted by text and duplicate-free, and each
+premise is merged into its parent's order (``_minus``, ``_plus``), so a
+search step costs what it changes, not what the sequent holds.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import sys
+from bisect import insort
 from dataclasses import dataclass
 
 from .formula import (
@@ -30,6 +35,8 @@ from .formula import (
     _rename_binder, _text, class_ids, free_vars, render, subformulas,
     substitute,
 )
+
+_set = object.__setattr__
 
 
 class Logic(enum.Enum):
@@ -43,15 +50,40 @@ class Outcome(enum.Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
 class Sequent:
-    """Antecedent and succedent, kept sorted and duplicate-free.
+    """Antecedent and succedent, each sorted by text and duplicate-free.
 
     Contraction is admissible in this calculus, so collapsing duplicates
     loses no provability and keeps the search space finite for the
-    propositional fragment."""
-    left: tuple[Formula, ...]
-    right: tuple[Formula, ...]
+    propositional fragment.  ``make`` sorts unsorted input; the rules merge
+    into the parent's order (``_minus``, ``_plus``) and construct the
+    premise directly.  The hash is computed once; equality is structural."""
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: tuple[Formula, ...], right: tuple[Formula, ...]):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"Sequent is immutable; cannot change {attr}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Sequent) and self._hash == other._hash
+            and self.left == other.left and self.right == other.right)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # formulas hash by identity, so the hash is recomputed on load
+        return Sequent, (self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"Sequent({self.left!r}, {self.right!r})"
 
     @staticmethod
     def make(left, right) -> "Sequent":
@@ -113,17 +145,36 @@ def _minus(pool: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-def _terms_in(s: Sequent) -> list[Term]:
+def _plus(side: tuple[Formula, ...], *new: Formula) -> tuple[Formula, ...]:
+    """side with each new formula that it lacks merged in by text."""
+    out = list(side)
+    for f in new:
+        if f not in out:
+            insort(out, f, key=_text)
+    return tuple(out)
+
+
+def _scan(f: Formula) -> tuple[dict[str, Lit], set[str]]:
+    """The literals in f, keyed by value, and the names f binds."""
+    lits: dict[str, Lit] = {}
+    binders: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, QUANTIFIERS):
+            binders.add(g.var)
+        # a literal is a side of an atom or the bound of a quantifier
+        for attr in g.__match_args__:
+            t = getattr(g, attr)
+            if isinstance(t, Lit):
+                lits[str(t.value)] = t
+    return lits, binders
+
+
+def _terms_in(s: Sequent, scan=_scan) -> list[Term]:
     names: set[str] = set()
     lits: dict[str, Lit] = {}
     for f in s.left + s.right:
         names |= f._fv
-        # a literal is a side of an atom or the bound of a quantifier
-        for g in subformulas(f):
-            for attr in g.__match_args__:
-                t = getattr(g, attr)
-                if isinstance(t, Lit):
-                    lits.setdefault(str(t.value), t)
+        lits.update(scan(f)[0])
     terms: list[Term] = [Var(n) for n in sorted(names)]
     terms.extend(lits[k] for k in sorted(lits))
     if not terms:
@@ -131,12 +182,11 @@ def _terms_in(s: Sequent) -> list[Term]:
     return terms
 
 
-def _fresh_var(s: Sequent) -> str:
+def _fresh_var(s: Sequent, scan=_scan) -> str:
     used: set[str] = set()
     for f in s.left + s.right:
         used |= f._fv
-        used.update(g.var for g in subformulas(f)
-                    if isinstance(g, QUANTIFIERS))
+        used |= scan(f)[1]
     i = 1
     while f"v{i}" in used:
         i += 1
@@ -148,11 +198,13 @@ def _fresh_var(s: Sequent) -> str:
 # Each rule maps to (side, class, witness, build).  The principal formula is
 # an instance of class on side 0 (antecedent) or 1 (succedent).  witness is
 # None, _EIGEN for a variable free nowhere in the conclusion, or _TERM for
-# any term.  build(f, g, d, classical, t) lists the premises of each instance
-# with principal formula f in g => d and witness t.
+# any term.  build(f, g, d, classical, a) lists the premises of each instance
+# with principal formula f in g => d and, for a quantifier, a the body with
+# the witness substituted.
 
 
 _ATOMS = (Eq, Mem, ClassMem)
+_FALSE = Falsum()
 _EIGEN, _TERM = "eigen", "term"
 
 
@@ -167,45 +219,45 @@ def _kept(d: tuple[Formula, ...], f: Formula, classical: bool):
 
 
 _RULES = {
-    "init": (0, _ATOMS, None, lambda f, g, d, cl, t: [()] if f in d else []),
-    "L-false": (0, Falsum, None, lambda f, g, d, cl, t: [()]),
-    "L-and": (0, And, None, lambda f, g, d, cl, t: [(
-        Sequent.make(_minus(g, f) + (f.left, f.right), d),)]),
-    "R-or": (1, Or, None, lambda f, g, d, cl, t: [(
-        Sequent.make(g, _minus(d, f) + (f.left, f.right)),)]),
-    "L-ex": (0, Ex, _EIGEN, lambda f, g, d, cl, t: [(
-        Sequent.make(_minus(g, f) + (_inst(f, t),), d),)]),
-    "L-bigor": (0, BigOr, None, lambda f, g, d, cl, t: [tuple(
-        Sequent.make(_minus(g, f) + (p,), d) for p in f.parts)]),
-    "L-or": (0, Or, None, lambda f, g, d, cl, t: [(
-        Sequent.make(_minus(g, f) + (f.left,), d),
-        Sequent.make(_minus(g, f) + (f.right,), d))]),
-    "R-and": (1, And, None, lambda f, g, d, cl, t: [(
-        Sequent.make(g, _minus(d, f) + (f.left,)),
-        Sequent.make(g, _minus(d, f) + (f.right,)))]),
-    "R-bigand": (1, BigAnd, None, lambda f, g, d, cl, t: [tuple(
-        Sequent.make(g, _kept(d, f, cl) + (p,)) for p in f.parts)]),
-    "R-imp": (1, Imp, None, lambda f, g, d, cl, t: [(
-        Sequent.make(g + (f.left,), _kept(d, f, cl) + (f.right,)),)]),
+    "init": (0, _ATOMS, None, lambda f, g, d, cl, a: [()] if f in d else []),
+    "L-false": (0, Falsum, None, lambda f, g, d, cl, a: [()]),
+    "L-and": (0, And, None, lambda f, g, d, cl, a: [(
+        Sequent(_plus(_minus(g, f), f.left, f.right), d),)]),
+    "R-or": (1, Or, None, lambda f, g, d, cl, a: [(
+        Sequent(g, _plus(_minus(d, f), f.left, f.right)),)]),
+    "L-ex": (0, Ex, _EIGEN, lambda f, g, d, cl, a: [(
+        Sequent(_plus(_minus(g, f), a), d),)]),
+    "L-bigor": (0, BigOr, None, lambda f, g, d, cl, a: [tuple(
+        Sequent(_plus(_minus(g, f), p), d) for p in f.parts)]),
+    "L-or": (0, Or, None, lambda f, g, d, cl, a: [(
+        Sequent(_plus(_minus(g, f), f.left), d),
+        Sequent(_plus(_minus(g, f), f.right), d))]),
+    "R-and": (1, And, None, lambda f, g, d, cl, a: [(
+        Sequent(g, _plus(_minus(d, f), f.left)),
+        Sequent(g, _plus(_minus(d, f), f.right)))]),
+    "R-bigand": (1, BigAnd, None, lambda f, g, d, cl, a: [tuple(
+        Sequent(g, _plus(_kept(d, f, cl), p)) for p in f.parts)]),
+    "R-imp": (1, Imp, None, lambda f, g, d, cl, a: [(
+        Sequent(_plus(g, f.left), _plus(_kept(d, f, cl), f.right)),)]),
     # intuitionistically the principal formula stays in the first premise
-    "L-imp": (0, Imp, None, lambda f, g, d, cl, t: [(
-        Sequent.make(_minus(g, f) if cl else g, d + (f.left,)),
-        Sequent.make(_minus(g, f) + (f.right,), d))]),
-    "R-all": (1, All, _EIGEN, lambda f, g, d, cl, t: [(
-        Sequent.make(g, _kept(d, f, cl) + (_inst(f, t),)),)]),
-    "L-bigand": (0, BigAnd, None, lambda f, g, d, cl, t: [
-        (Sequent.make(g + (p,), d),) for p in f.parts]),
-    "R-bigor": (1, BigOr, None, lambda f, g, d, cl, t: [
-        (Sequent.make(g, d + (p,)),) for p in f.parts]),
-    "R-ex": (1, Ex, _TERM, lambda f, g, d, cl, t: [(
-        Sequent.make(g, d + (_inst(f, t),)),)]),
-    "L-all": (0, All, _TERM, lambda f, g, d, cl, t: [(
-        Sequent.make(g + (_inst(f, t),), d),)]),
+    "L-imp": (0, Imp, None, lambda f, g, d, cl, a: [(
+        Sequent(_minus(g, f) if cl else g, _plus(d, f.left)),
+        Sequent(_plus(_minus(g, f), f.right), d))]),
+    "R-all": (1, All, _EIGEN, lambda f, g, d, cl, a: [(
+        Sequent(g, _plus(_kept(d, f, cl), a)),)]),
+    "L-bigand": (0, BigAnd, None, lambda f, g, d, cl, a: [
+        (Sequent(_plus(g, p), d),) for p in f.parts]),
+    "R-bigor": (1, BigOr, None, lambda f, g, d, cl, a: [
+        (Sequent(g, _plus(d, p)),) for p in f.parts]),
+    "R-ex": (1, Ex, _TERM, lambda f, g, d, cl, a: [(
+        Sequent(g, _plus(d, a)),)]),
+    "L-all": (0, All, _TERM, lambda f, g, d, cl, a: [(
+        Sequent(_plus(g, a), d),)]),
 }
 
 
 def _cut(g, d, a: Formula) -> tuple[Sequent, Sequent]:
-    return Sequent.make(g, d + (a,)), Sequent.make(g + (a,), d)
+    return Sequent(g, _plus(d, a)), Sequent(_plus(g, a), d)
 
 
 def _order(*rules: str):
@@ -233,9 +285,25 @@ class _Search:
         self.allow_cut = allow_cut
         self.expanded = 0
         self.failed: set[Sequent] = set()
+        self.ancestors: set[Sequent] = set()  # the sequents on the branch
         self.limit: str | None = None
         self.loop_hits = 0
         self.memo_hits = 0
+        # each quantifier instance, and each formula's _scan, built once
+        self.instances: dict[tuple[Formula, Term], Formula] = {}
+        self.scans: dict[Formula, tuple[dict[str, Lit], set[str]]] = {}
+
+    def _instance(self, f: Formula, t: Term) -> Formula:
+        a = self.instances.get((f, t))
+        if a is None:
+            a = self.instances[f, t] = _inst(f, t)
+        return a
+
+    def _scanned(self, f: Formula):
+        scan = self.scans.get(f)
+        if scan is None:
+            scan = self.scans[f] = _scan(f)
+        return scan
 
     def _steps(self, s: Sequent):
         """Yields (rule, premises) backward steps in search order.  A
@@ -245,8 +313,9 @@ class _Search:
         for rule, side, cls, witness, build in self.invertible:
             for f in sides[side]:
                 if isinstance(f, cls):
-                    t = Var(_fresh_var(s)) if witness else None
-                    for premises in build(f, g, d, classical, t):
+                    a = witness and self._instance(
+                        f, Var(_fresh_var(s, self._scanned)))
+                    for premises in build(f, g, d, classical, a):
                         yield rule, premises
                     return
         terms = None
@@ -256,13 +325,14 @@ class _Search:
                     continue
                 if witness is _TERM:
                     # only these rules need the sequent's terms
-                    terms = witnesses = terms or _terms_in(s)
+                    terms = witnesses = terms or _terms_in(s, self._scanned)
                 elif witness:
-                    witnesses = (Var(_fresh_var(s)),)
+                    witnesses = (Var(_fresh_var(s, self._scanned)),)
                 else:
                     witnesses = (None,)
                 for t in witnesses:
-                    for premises in build(f, g, d, classical, t):
+                    a = None if t is None else self._instance(f, t)
+                    for premises in build(f, g, d, classical, a):
                         if len(premises) != 1 or premises[0] != s:
                             yield rule, premises
         if self.allow_cut:
@@ -271,14 +341,17 @@ class _Search:
                     if sub not in g and sub not in d:
                         yield "cut", _cut(g, d, sub)
 
-    def prove(self, s: Sequent, ancestors: frozenset[Sequent]) -> Derivation | None:
-        if any(isinstance(f, _ATOMS) and f in s.right for f in s.left):
-            return Derivation("init", s)
-        if any(isinstance(f, Falsum) for f in s.left):
+    def prove(self, s: Sequent) -> Derivation | None:
+        right = s.right
+        for f in s.left:
+            if isinstance(f, _ATOMS) and f in right:
+                return Derivation("init", s)
+        if _FALSE in s.left:
             return Derivation("L-false", s)
         if s in self.failed:
             self.memo_hits += 1
             return None
+        ancestors = self.ancestors
         if s in ancestors:
             self.loop_hits += 1
             return None
@@ -289,19 +362,20 @@ class _Search:
             self.limit = self.limit or "depth"
             return None
         self.expanded += 1
-        ancestors = ancestors | {s}
         loops_before = self.loop_hits
-        for rule, premises in self._steps(s):
-            subs = []
-            ok = True
-            for p in premises:
-                d = self.prove(p, ancestors)
-                if d is None:
-                    ok = False
-                    break
-                subs.append(d)
-            if ok:
-                return Derivation(rule, s, tuple(subs))
+        ancestors.add(s)
+        try:
+            for rule, premises in self._steps(s):
+                subs = []
+                for p in premises:
+                    d = self.prove(p)
+                    if d is None:
+                        break
+                    subs.append(d)
+                else:
+                    return Derivation(rule, s, tuple(subs))
+        finally:
+            ancestors.discard(s)
         # a failure that never tripped the ancestor check or the budget is
         # context-independent and safe to memoize
         if self.loop_hits == loops_before and self.limit is None:
@@ -319,7 +393,7 @@ def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
         s = Sequent.make([desugar(f) for f in s.left],
                          [desugar(f) for f in s.right])
         search = _Search(logic, budget, allow_cut)
-        d = search.prove(s, frozenset())
+        d = search.prove(s)
     finally:
         sys.setrecursionlimit(limit)
     if d is not None:
@@ -394,10 +468,13 @@ def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
             taken = set().union(*(f._fv for f in g + dd))
             witnesses = [t for t in witnesses
                          if isinstance(t, Var) and t.name not in taken]
+        witnesses = list(dict.fromkeys(witnesses))
     classical = logic is Logic.CLASSICAL
     for f in (g, dd)[side]:
         if isinstance(f, cls) and any(
-                premises in build(f, g, dd, classical, t) for t in witnesses):
+                premises in build(f, g, dd, classical,
+                                  None if t is None else _inst(f, t))
+                for t in witnesses):
             return None
     return f"no {d.rule} instance matches the premises"
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 
@@ -36,6 +37,20 @@ def test_sequent_normal_form():
     s = Sequent.make([b, a, a], [a, b, b])
     assert s == Sequent.make([a, b], [b, a])
     assert " => " in s.render()
+
+
+def test_sequent_is_an_immutable_value():
+    """Separately built equal sequents are equal and hash alike, also after
+    pickling, and a sequent cannot be changed."""
+    a, b = parse("x = x"), parse("y = y")
+    s = Sequent.make([a], [b, a])
+    t = Sequent((a,), (a, b))
+    assert s == t and hash(s) == hash(t) and s is not t
+    assert pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(AttributeError):
+        s.left = ()
+    with pytest.raises(AttributeError):
+        del s.right
 
 
 def test_identity_and_falsum():
@@ -417,6 +432,69 @@ def test_pinned_searches():
     assert got == PINNED
 
 
+def _random_prop(rng, depth):
+    if depth == 0:
+        return parse(rng.choice(["a = a", "b = b", "c = c", "d = d", "false"]))
+    if rng.random() < 0.2:
+        return neg(_random_prop(rng, depth - 1))
+    kind = rng.choice([And, Or, Imp, Imp])
+    return kind(_random_prop(rng, depth - 1),
+                _random_prop(rng, rng.randrange(depth)))
+
+
+def _tautology(f):
+    def value(g, val):
+        if isinstance(g, Falsum):
+            return False
+        if isinstance(g, Eq):
+            return val[g.left.name]
+        left, right = value(g.left, val), value(g.right, val)
+        return {And: left and right, Or: left or right,
+                Imp: not left or right}[type(g)]
+    return all(value(f, dict(zip("abcd", bits)))
+               for bits in itertools.product([True, False], repeat=4))
+
+
+def _population():
+    """Every quantifier-prefix implication under both logics (budget 64),
+    seeded propositional Glivenko triples, tautologies and not in turn
+    (budget 200), and ~^n (x = x) for n = 8 and 25 (budget 2000)."""
+    for a, b in itertools.product(PREFIX, repeat=2):
+        f = parse(f"({PREFIX[a]}) -> ({PREFIX[b]})")
+        for logic in Logic:
+            yield f, logic, 64
+    rng = random.Random(13)
+    for i in range(100):
+        f = _random_prop(rng, rng.choice([2, 3]))
+        while _tautology(f) != (i % 2 == 0):
+            f = _random_prop(rng, rng.choice([2, 3]))
+        yield f, CL, 200
+        yield neg(neg(f)), INT, 200
+        yield dn_translate(f), INT, 200
+    for n in (8, 25):
+        f = parse("x = x")
+        for _ in range(n):
+            f = neg(f)
+        yield f, INT, 2000
+
+
+# sha256 over (outcome, expanded, limit, loop hits, memo hits, sha256 of
+# derivation.render() or of "") per target of _population, in order.
+POPULATION_DIGEST = (
+    "1478f55826402c73146ed924279283cb7e35780df85ac20d7d7c0fb41d6a2e61")
+
+
+def test_search_population_is_unchanged():
+    digest = hashlib.sha256()
+    for f, logic, budget in _population():
+        r = prove_formula(f, logic, budget=budget)
+        text = r.derivation.render() if r.derivation else ""
+        digest.update(repr((
+            r.outcome.value, r.expanded, r.limit, r.loop_hits, r.memo_hits,
+            hashlib.sha256(text.encode()).hexdigest())).encode())
+    assert digest.hexdigest() == POPULATION_DIGEST
+
+
 def _render_make_reference(left, right):
     """Sequent.make as it was: dedup by rendering, sorted by rendering."""
     def dedup(fs):
@@ -450,25 +528,29 @@ def _free_vars_reference(f):
 
 
 def test_sequents_match_the_render_keyed_reference(monkeypatch):
+    """Every sequent the search builds, the endsequent from Sequent.make
+    and each premise merged into its parent's order, including the
+    premises of cuts, has the sides the render-keyed make gives for its
+    formulas."""
     made = []
-    make = Sequent.make
+    init = Sequent.__init__
 
-    def recording(left, right):
-        left, right = list(left), list(right)
-        s = make(left, right)
-        made.append((left, right, s))
-        return s
+    def recording(s, left, right):
+        init(s, left, right)
+        made.append(s)
 
-    monkeypatch.setattr(Sequent, "make", staticmethod(recording))
+    monkeypatch.setattr(Sequent, "__init__", recording)
     for label, f, logic, budget in _pinned_targets():
         prove_formula(f, logic, budget=budget)
     for f in bounded_formulas(1, 2, limit=40):
         prove_formula(Imp(f, f), INT, budget=100)
+    for text in PROPS:
+        prove_formula(parse(text), INT, budget=100, allow_cut=True)
     monkeypatch.undo()
     assert len(made) > 5000
     formulas = set()
-    for left, right, s in made:
-        ref = _render_make_reference(left, right)
+    for s in made:
+        ref = _render_make_reference(s.left, s.right)
         assert s.left == ref.left and s.right == ref.right
         formulas.update(s.left + s.right)
     for f in formulas:

@@ -6,9 +6,15 @@ over the fundamental operations that computes, for any arguments a1..an,
 the comprehension {<x_n,...,x_1> in a_n x ... x a_1 | phi(x1..xn)} (tuples
 right-nested, 1-tuples being the element itself).
 
-Compiled terms repeat subterms, so eval_opterm keeps a memo for the length
-of one call: an operation met again on the same argument values is not
-applied again.  Nothing outlives the call.
+fundamental_op applies one operation to HFSets; it is the definition, which
+expand and the CLI use and the tests compare against.  eval_opterm computes
+the same values in a normal form that keeps Kuratowski pairs as Python
+tuples (<a, b> is (a, b)), so relations are not built as HFSets between one
+operation and the next; it builds an HFSet where an operation needs the
+members of an element, and for the result.  Compiled terms share subterms,
+so within one call each node is evaluated once and each operation met again
+on the same argument values is not applied again.  Nothing outlives the
+call.
 """
 
 from __future__ import annotations
@@ -160,26 +166,164 @@ def opterm_render(t: OpTerm) -> str:
 def eval_opterm(t: OpTerm, args: list[HFSet]) -> HFSet:
     """The value of t at args, where Arg(i) stands for args[i-1].
 
-    Within one call each distinct operation applied to the same arguments
-    is evaluated once: a memo keyed by (op, *argument values), which hash
-    by identity, serves the repeats.  The memo dies with the call, so the
-    unique table can free intermediate sets.  The walk recurses, like the
-    formula oracle: an explicit stack, as _fold keeps, made the oracle
-    items a third slower."""
-    return _value(t, args, {})
+    Inside the call a set is a frozenset of normal-form elements (see
+    _Eval), so the pairs that one operation builds and the next takes apart
+    are never made into HFSets.  Each node of t is evaluated once, and each
+    distinct operation on the same argument values is applied once.  All of
+    it dies with the call, so the unique table can free what was built."""
+    call = _Eval(args)
+    return call.set_out(call.value(t))
 
 
-def _value(t: OpTerm, args: list[HFSet], memo: dict) -> HFSet:
-    if isinstance(t, Arg):
-        if t.index > len(args):
-            raise ValueError(f"argument index {t.index} out of range")
-        return args[t.index - 1]
-    values = [_value(a, args, memo) for a in t.args]
-    key = (t.op, *values)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = fundamental_op(t.op, values)
-    return value
+class _Eval:
+    """The state of one eval_opterm call.
+
+    A set is held as the frozenset of the normal forms of its elements.  The
+    normal form of a Kuratowski pair <a, b> is the tuple (a', b') of the
+    normal forms of a and b; the normal form of any other set is the HFSet
+    itself.  Every set has one normal form, so equal sets have equal normal
+    forms: tuples compare by parts, HFSets by identity.  HFSets are built
+    where an operation needs the members of an element (p, cup, cap over a
+    family, imp, forall, mem) and for the result.  Conversions between sets
+    and normal forms are memoized for the call.
+    """
+
+    __slots__ = ("args", "nodes", "ops", "nfs", "sets")
+
+    def __init__(self, args: list[HFSet]):
+        self.nodes: dict[int, frozenset] = {}  # id of a node -> its value
+        self.ops: dict[tuple, frozenset] = {}  # (op, *values) -> value
+        self.nfs: dict[HFSet, object] = {}     # set -> its normal form
+        self.sets: dict[tuple, HFSet] = {}     # pair normal form -> set
+        self.args = [self.set_in(a) for a in args]
+
+    def value(self, t: OpTerm) -> frozenset:
+        """The value of t, one frame per term level.  Nodes are memoized by
+        id: hashing App compares structure, which costs the tree's size."""
+        v = self.nodes.get(id(t))
+        if v is not None:
+            return v
+        if isinstance(t, Arg):
+            if t.index > len(self.args):
+                raise ValueError(f"argument index {t.index} out of range")
+            return self.args[t.index - 1]
+        op, a = t.op, t.args
+        if op in ("cap", "cup") and isinstance(a[-1], App) and a[-1].op == "p":
+            # x cap bigcap {y, z} and bigcup {y, z}: the compiler's
+            # conjunction and disjunction; the pair set is never built
+            y, z = a[-1].args
+            if op == "cap":
+                op, values = "inter", (self.value(a[0]), self.value(y),
+                                       self.value(z))
+            else:
+                op, values = "union", (self.value(y), self.value(z))
+        elif len(a) == 1:
+            values = (self.value(a[0]),)
+        else:
+            values = (self.value(a[0]), self.value(a[1]))
+        key = (op, *values)
+        v = self.ops.get(key)
+        if v is None:
+            v = self.ops[key] = _apply(op, values, self)
+        self.nodes[id(t)] = v
+        return v
+
+    def nf(self, s: HFSet):
+        e = self.nfs.get(s)
+        if e is None:
+            p = hf.unpair(s)
+            e = s if p is None else (self.nf(p[0]), self.nf(p[1]))
+            self.nfs[s] = e
+        return e
+
+    def to_set(self, e) -> HFSet:
+        if type(e) is not tuple:
+            return e
+        s = self.sets.get(e)
+        if s is None:
+            s = self.sets[e] = hf.kpair(self.to_set(e[0]), self.to_set(e[1]))
+            self.nfs[s] = e
+        return s
+
+    def members(self, e) -> frozenset:
+        """The members of the set with normal form e."""
+        return self.set_in(self.to_set(e))
+
+    def element(self, x: frozenset):
+        """The normal form of the set x, as an element of another set."""
+        return self.nf(self.set_out(x))
+
+    def set_in(self, s: HFSet) -> frozenset:
+        return frozenset(map(self.nf, s))
+
+    def set_out(self, x: frozenset) -> HFSet:
+        return HFSet(map(self.to_set, x))
+
+
+def _apply(symbol: str, values: tuple, call: _Eval) -> frozenset:
+    """fundamental_op on normal-form values, plus the two shapes that
+    _Eval.value reads whole: inter(x, y, z) = x cap y cap z and
+    union(y, z) = y cup z."""
+    match symbol:
+        case "p":
+            x, y = values
+            return frozenset((call.element(x), call.element(y)))
+        case "cap":
+            # x cap bigcap y; bigcap of the empty family absorbs: result x
+            x, y = values
+            for e in y:
+                x = x & call.members(e)
+            return x
+        case "inter":
+            x, y, z = values
+            return x & y & z
+        case "cup":
+            (x,) = values
+            return frozenset().union(*map(call.members, x))
+        case "union":
+            y, z = values
+            return y | z
+        case "diff":
+            x, y = values
+            return x - y
+        case "times":
+            x, y = values
+            return frozenset([(u, v) for u in x for v in y])
+        case "imp":
+            x, y = values
+            p = call.element(y)
+            if type(p) is not tuple:
+                return frozenset()
+            # {z in x | z in p[0] -> z in p[1]}
+            return x - (call.members(p[0]) - call.members(p[1]))
+        case "forall":
+            # {x"{z} | z in y}, grouping x's pairs by first coordinate once
+            x, y = values
+            image: dict = {}
+            for e in x:
+                if type(e) is tuple:
+                    image.setdefault(e[0], []).append(e[1])
+            return frozenset([call.element(frozenset(image.get(z, ())))
+                              for z in y])
+        case "dom":
+            return frozenset([e[0] for e in values[0] if type(e) is tuple])
+        case "ran":
+            return frozenset([e[1] for e in values[0] if type(e) is tuple])
+        case "123":
+            x, y = values
+            return frozenset([(e[0], (e[1], w))
+                              for e in x if type(e) is tuple for w in y])
+        case "132":
+            x, y = values
+            return frozenset([(e[0], (w, e[1]))
+                              for e in x if type(e) is tuple for w in y])
+        case "eq":
+            x, y = values
+            return frozenset([(v, v) for v in x & y])
+        case "mem":
+            x, y = values
+            return frozenset([(v, u) for v in y for u in call.members(v) & x])
+    raise AssertionError
 
 
 def max_placeholder(t: OpTerm) -> int:

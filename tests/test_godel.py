@@ -1,9 +1,12 @@
 import itertools
+import time
 
 import pytest
 
 from czfkit import corpus, godel, hf
-from czfkit.formula import free_vars, parse
+from czfkit.formula import (
+    BoundedAll, BoundedEx, Eq, Lit, Mem, Var, free_vars, parse,
+)
 from czfkit.godel import (
     App, Arg, CompileError, compile_bounded, def_stage, eval_opterm,
     fundamental_op, hereditary_add, l_stage, max_placeholder, opterm_render,
@@ -149,17 +152,64 @@ def _eval_reference(t, args):
     return fundamental_op(t.op, [_eval_reference(a, args) for a in t.args])
 
 
+def _quantified_atoms(scope):
+    """Every ``all/ex y1 in x. atom`` with x in scope, whose atom compares
+    two of scope, y1 and {} (one at least a variable), with free variables
+    exactly scope."""
+    terms = [Var(v) for v in scope] + [Var("y1"), Lit(EMPTY)]
+    out = []
+    for quantifier, bound, atom in itertools.product(
+            (BoundedAll, BoundedEx), scope, (Eq, Mem)):
+        for left, right in itertools.product(terms, repeat=2):
+            if isinstance(left, Var) or isinstance(right, Var):
+                f = quantifier("y1", Var(bound), atom(left, right))
+                if free_vars(f) == set(scope):
+                    out.append(f)
+    return out
+
+
 def test_eval_matches_reference():
-    formulas = [f for f in corpus.bounded_formulas(1, 3, limit=250)
-                if free_vars(f) == {"x1"}]
-    assert len(formulas) == 222
-    formulas += [parse("ex x1 in x1. x1 = x1"), parse("all x1 in x1. false")]
-    for f in formulas:
-        t = compile_bounded(f, 1)
-        for a1 in hf.v_stage(3):
-            assert eval_opterm(t, [a1]) is _eval_reference(t, [a1])
+    pool = list(hf.v_stage(3))
+    for arity, count in ((1, 222), (2, 196)):
+        scope = {f"x{i}" for i in range(1, arity + 1)}
+        formulas = [f for f in corpus.bounded_formulas(arity, 3, limit=250)
+                    if free_vars(f) == scope]
+        assert len(formulas) == count
+        formulas += _quantified_atoms(sorted(scope))
+        if arity == 1:
+            formulas += [parse("ex x1 in x1. x1 = x1"),
+                         parse("all x1 in x1. false")]
+        for f in formulas:
+            t = compile_bounded(f, arity)
+            for args in itertools.product(pool, repeat=arity):
+                assert eval_opterm(t, list(args)) \
+                    is _eval_reference(t, list(args)), f
+    assert len(_quantified_atoms(["x1"])) == 32
+    assert len(_quantified_atoms(["x1", "x2"])) == 56
     with pytest.raises(ValueError):
         eval_opterm(Arg(2), [EMPTY])
+
+
+def test_ops_on_normal_forms_match_fundamental_op():
+    """Every operation, and the conjunction and disjunction shapes that the
+    evaluator reads whole, on normal-form values against fundamental_op."""
+    square = hf.product(hf.v_stage(2), hf.v_stage(2))
+    pool = list(hf.v_stage(4)) + [square, hfset(kpair(EMPTY, EMPTY))]
+    call = godel._Eval([])
+
+    def apply(symbol, *sets):
+        values = tuple(call.set_in(s) for s in sets)
+        return call.set_out(godel._apply(symbol, values, call))
+
+    for x, y in itertools.product(pool, repeat=2):
+        assert apply("cup", x) is fundamental_op("cup", [x])
+        for symbol in godel.OP_SYMBOLS:
+            if symbol != "cup":
+                assert apply(symbol, x, y) is fundamental_op(symbol, [x, y])
+        assert apply("union", x, y) is hf.union(hfset(x, y))
+        for z in (x, y, square):
+            assert apply("inter", x, y, z) \
+                is fundamental_op("cap", [x, hfset(y, z)])
 
 
 def test_eval_memo_is_scoped_to_one_call():
@@ -177,33 +227,44 @@ def test_eval_memo_is_scoped_to_one_call():
 def test_eval_applies_each_distinct_operation_once(monkeypatch):
     t = compile_bounded(parse("all y in x2. y in x1 -> x2 in x1"), 2)
     args = [hf.v_stage(3), parse_hf("{{}, {{}}, {{{}}}}")]
-    tree = []  # one (op, *args) per App node of t's tree
+    tree = []  # one (op, *args) per operation of t's tree, read as eval does
 
     def walk(u):
         if isinstance(u, Arg):
             return args[u.index - 1]
-        values = [walk(a) for a in u.args]
-        tree.append((u.op, *values))
-        return fundamental_op(u.op, values)
+        last = u.args[-1]
+        if u.op in ("cap", "cup") and isinstance(last, App) and last.op == "p":
+            # cap(x, p(y, z)) is inter(x, y, z); cup(p(y, z)) is union(y, z)
+            values = [walk(a) for a in (*u.args[:-1], *last.args)]
+            op = "inter" if u.op == "cap" else "union"
+            value = fundamental_op(u.op, [*values[:-2], hfset(*values[-2:])])
+        else:
+            values = [walk(a) for a in u.args]
+            op, value = u.op, fundamental_op(u.op, values)
+        tree.append((op, *values))
+        return value
 
     want = walk(t)
     calls = []
+    apply = godel._apply
 
-    def counting(symbol, values):
+    def counting(symbol, values, call):
         calls.append((symbol, *values))
-        return fundamental_op(symbol, values)
+        return apply(symbol, values, call)
 
-    monkeypatch.setattr(godel, "fundamental_op", counting)
+    monkeypatch.setattr(godel, "_apply", counting)
     assert eval_opterm(t, args) is want
     assert len(calls) == len(set(calls))
-    assert set(calls) == set(tree)
+    out = godel._Eval([]).set_out
+    assert {(op, *map(out, values)) for op, *values in calls} == set(tree)
     assert len(calls) < len(tree)
 
 
 def test_deep_terms_render_and_evaluate():
-    """Rendering walks without recursion.  Nested quantifiers once compiled
-    to a tree of about 4^n nodes, as each level wrote its body twice; 100 of
-    them over x1 hold iff x1 is not empty."""
+    """Rendering walks without recursion, and evaluation takes one frame per
+    term level.  Nested quantifiers once compiled to a tree of about 4^n
+    nodes, as each level wrote its body twice; 100 of them over x1 hold iff
+    x1 is not empty."""
     t = compile_bounded(parse("~" * 900 + "x1 = x1"), 1)
     assert max_placeholder(t) == 1
     assert opterm_render(t).startswith("F_")
@@ -213,6 +274,24 @@ def test_deep_terms_render_and_evaluate():
     for a1 in hf.v_stage(2):
         want = hfset(a1) if a1 else EMPTY
         assert eval_opterm(t, [hfset(a1)]) is want
+    f = parse("~" * 200 + "x1 = x1")  # a term 601 deep
+    t = compile_bounded(f, 1)
+    for a1 in hf.v_stage(2):
+        assert eval_opterm(t, [hfset(a1)]) is comprehension(f, [hfset(a1)])
+
+
+def test_deep_literal_evaluates_each_shared_subterm_once():
+    """A singleton is p(e, e) with one e, so the 20-deep literal's term is
+    a tree of 8 388 609 nodes over a few dozen objects."""
+    text = "{" * 20 + "}" * 20
+    f = parse(f"x1 = {text}")
+    t = compile_bounded(f, 1)
+    assert t.size == 8_388_609
+    started = time.monotonic()
+    for a1 in (parse_hf(text), hf.v_stage(2)):
+        args = [hfset(a1, EMPTY)]
+        assert eval_opterm(t, args) is comprehension(f, args)
+    assert time.monotonic() - started < 0.5
 
 
 def test_def_stage_examples():

@@ -12,9 +12,7 @@ the same values in a normal form that keeps Kuratowski pairs as Python
 tuples (<a, b> is (a, b)), so relations are not built as HFSets between one
 operation and the next; it builds an HFSet where an operation needs the
 members of an element, and for the result.  Compiled terms share subterms,
-so within one call each node is evaluated once and each operation met again
-on the same argument values is not applied again.  Nothing outlives the
-call.
+so within one call each node is evaluated once.  Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -168,8 +166,7 @@ def eval_opterm(t: OpTerm, args: list[HFSet]) -> HFSet:
 
     Inside the call a set is a frozenset of normal-form elements (see
     _Eval), so the pairs that one operation builds and the next takes apart
-    are never made into HFSets.  Each node of t is evaluated once, and each
-    distinct operation on the same argument values is applied once.  All of
+    are never made into HFSets.  Each node of t is evaluated once.  All of
     it dies with the call, so the unique table can free what was built."""
     call = _Eval(args)
     return call.set_out(call.value(t))
@@ -188,11 +185,10 @@ class _Eval:
     and normal forms are memoized for the call.
     """
 
-    __slots__ = ("args", "nodes", "ops", "nfs", "sets")
+    __slots__ = ("args", "nodes", "nfs", "sets")
 
     def __init__(self, args: list[HFSet]):
         self.nodes: dict[int, frozenset] = {}  # id of a node -> its value
-        self.ops: dict[tuple, frozenset] = {}  # (op, *values) -> value
         self.nfs: dict[HFSet, object] = {}     # set -> its normal form
         self.sets: dict[tuple, HFSet] = {}     # pair normal form -> set
         self.args = [self.set_in(a) for a in args]
@@ -221,11 +217,7 @@ class _Eval:
             values = (self.value(a[0]),)
         else:
             values = (self.value(a[0]), self.value(a[1]))
-        key = (op, *values)
-        v = self.ops.get(key)
-        if v is None:
-            v = self.ops[key] = _apply(op, values, self)
-        self.nodes[id(t)] = v
+        v = self.nodes[id(t)] = _apply(op, values, self)
         return v
 
     def nf(self, s: HFSet):
@@ -595,22 +587,16 @@ def l_stage(alpha: int, k: int, max_size: int = 4096) -> HFSet:
 
 
 def hereditary_add(alpha: int, gamma: int) -> int:
-    """Hereditary ordinal addition on finite ordinals."""
+    """Hereditary ordinal addition on finite ordinals: go(alpha), where
+    go(a) is the ordinal (union of go(b) for b < a) cup {a}, plus gamma.
+
+    On ints: a union of finite ordinals is their maximum m, and m cup {a}
+    is an ordinal exactly when a <= m, and then it is max(m, a + 1)."""
     if alpha < 0 or gamma < 0:
         raise ValueError("finite ordinals only")
-    memo: dict[int, int] = {}
-
-    def go(a: int) -> int:
-        if a in memo:
-            return memo[a]
-        inner = HFSet()
-        for beta in range(a):
-            inner = hf.binary_union(inner, hf.von_neumann(go(beta)))
-        inner = hf.binary_union(inner, hf.hfset(hf.von_neumann(a)))
-        base = hf.to_ordinal(inner)
-        if base is None:
+    m = 0  # the union of go(b) for b < a: go(a - 1), as go only grows
+    for a in range(alpha + 1):
+        if a > m:
             raise AssertionError("hereditary sum left the ordinals")
-        memo[a] = base + gamma
-        return memo[a]
-
-    return go(alpha)
+        m = max(m, a + 1) + gamma
+    return m

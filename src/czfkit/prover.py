@@ -28,6 +28,7 @@ import itertools
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     QUANTIFIERS, All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq,
@@ -35,8 +36,6 @@ from .formula import (
     _rename_binder, _text, class_ids, free_vars, render, subformulas,
     substitute,
 )
-
-_set = object.__setattr__
 
 
 class Logic(enum.Enum):
@@ -50,40 +49,17 @@ class Outcome(enum.Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-class Sequent:
+class Sequent(NamedTuple):
     """Antecedent and succedent, each sorted by text and duplicate-free.
 
     Contraction is admissible in this calculus, so collapsing duplicates
     loses no provability and keeps the search space finite for the
     propositional fragment.  ``make`` sorts unsorted input; the rules merge
     into the parent's order (``_minus``, ``_plus``) and construct the
-    premise directly.  The hash is computed once; equality is structural."""
-    __slots__ = ("left", "right", "_hash")
-
-    def __init__(self, left: tuple[Formula, ...], right: tuple[Formula, ...]):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((left, right)))
-
-    def __setattr__(self, attr, value=None):
-        raise AttributeError(f"Sequent is immutable; cannot change {attr}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Sequent) and self._hash == other._hash
-            and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # formulas hash by identity, so the hash is recomputed on load
-        return Sequent, (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"Sequent({self.left!r}, {self.right!r})"
+    premise directly.  Equality and hashing are the tuple's, over formulas
+    that hash by identity."""
+    left: tuple[Formula, ...]
+    right: tuple[Formula, ...]
 
     @staticmethod
     def make(left, right) -> "Sequent":

@@ -123,6 +123,15 @@ def test_l_stage_and_hadd(capsys):
     assert run(["l-stage", "3", "3", "--max-size", "10"]) == 3
 
 
+def test_hadd_of_large_ordinals(capsys):
+    """hadd computes on ints; building the von Neumann ordinals of the sums
+    took memory exponential in them."""
+    assert run(["hadd", "40", "0"]) == 0
+    assert out_of(capsys) == "41\n"
+    assert run(["hadd", "1000", "7"]) == 0
+    assert out_of(capsys) == "7008\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hadd", "--", "-1", "0"], "finite ordinals only"),
     (["hadd", "--", "0", "-1"], "finite ordinals only"),

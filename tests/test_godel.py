@@ -224,17 +224,20 @@ def test_eval_memo_is_scoped_to_one_call():
     assert len(hf._table) == before
 
 
-def test_eval_applies_each_distinct_operation_once(monkeypatch):
+def test_eval_applies_each_node_once(monkeypatch):
     t = compile_bounded(parse("all y in x2. y in x1 -> x2 in x1"), 2)
     args = [hf.v_stage(3), parse_hf("{{}, {{}}, {{{}}}}")]
     tree = []  # one (op, *args) per operation of t's tree, read as eval does
+    nodes = set()  # ids of the App nodes evaluation reaches
 
     def walk(u):
         if isinstance(u, Arg):
             return args[u.index - 1]
+        nodes.add(id(u))
         last = u.args[-1]
         if u.op in ("cap", "cup") and isinstance(last, App) and last.op == "p":
-            # cap(x, p(y, z)) is inter(x, y, z); cup(p(y, z)) is union(y, z)
+            # cap(x, p(y, z)) is inter(x, y, z); cup(p(y, z)) is union(y, z);
+            # the p node itself is not evaluated
             values = [walk(a) for a in (*u.args[:-1], *last.args)]
             op = "inter" if u.op == "cap" else "union"
             value = fundamental_op(u.op, [*values[:-2], hfset(*values[-2:])])
@@ -254,7 +257,7 @@ def test_eval_applies_each_distinct_operation_once(monkeypatch):
 
     monkeypatch.setattr(godel, "_apply", counting)
     assert eval_opterm(t, args) is want
-    assert len(calls) == len(set(calls))
+    assert len(calls) == len(nodes)
     out = godel._Eval([]).set_out
     assert {(op, *map(out, values)) for op, *values in calls} == set(tree)
     assert len(calls) < len(tree)
@@ -330,6 +333,32 @@ def test_hereditary_add_values():
     assert hereditary_add(0, 0) == 1
     assert hereditary_add(0, 2) == 3
     assert hereditary_add(1, 1) == 3
+
+
+def _hereditary_add_on_sets(alpha, gamma):
+    """Hereditary addition by its definition, on von Neumann ordinals.  The
+    ordinal n stores a canonical string of about 2**(n + 1) characters, so
+    keep the sums small."""
+    memo = {}
+
+    def go(a):
+        if a not in memo:
+            inner = EMPTY
+            for beta in range(a):
+                inner = hf.binary_union(inner, hf.von_neumann(go(beta)))
+            inner = hf.binary_union(inner, hfset(hf.von_neumann(a)))
+            base = hf.to_ordinal(inner)
+            assert base is not None
+            memo[a] = base + gamma
+        return memo[a]
+
+    return go(alpha)
+
+
+def test_hereditary_add_matches_the_set_construction():
+    for a in range(4):
+        for g in range(4):
+            assert hereditary_add(a, g) == _hereditary_add_on_sets(a, g)
 
 
 def test_hereditary_add_laws():

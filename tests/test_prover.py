@@ -533,13 +533,14 @@ def test_sequents_match_the_render_keyed_reference(monkeypatch):
     premises of cuts, has the sides the render-keyed make gives for its
     formulas."""
     made = []
-    init = Sequent.__init__
+    new = Sequent.__new__
 
-    def recording(s, left, right):
-        init(s, left, right)
+    def recording(cls, left, right):
+        s = new(cls, left, right)
         made.append(s)
+        return s
 
-    monkeypatch.setattr(Sequent, "__init__", recording)
+    monkeypatch.setattr(Sequent, "__new__", recording)
     for label, f, logic, budget in _pinned_targets():
         prove_formula(f, logic, budget=budget)
     for f in bounded_formulas(1, 2, limit=40):

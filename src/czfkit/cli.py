@@ -407,6 +407,9 @@ def run(argv: list[str]) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
+    except RecursionError:  # until the evaluators stop recursing
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -591,12 +591,13 @@ def hereditary_add(alpha: int, gamma: int) -> int:
     go(a) is the ordinal (union of go(b) for b < a) cup {a}, plus gamma.
 
     On ints: a union of finite ordinals is their maximum m, and m cup {a}
-    is an ordinal exactly when a <= m, and then it is max(m, a + 1)."""
+    is an ordinal exactly when a <= m, and then it is max(m, a + 1).  As
+    go only grows, m = go(a - 1) (0 for a = 0), so go(a) = max(go(a - 1),
+    a + 1) + gamma.  For gamma = 0 that is a + 1.  For gamma >= 1,
+    go(0) = 1 + gamma, and go(a - 1) = 1 + a*gamma >= a + 1 makes
+    go(a) = 1 + (a + 1)*gamma.  Either way go(a - 1) >= a, so every step
+    is an ordinal, and the result is max(alpha + 1, 1 + (alpha + 1)*gamma)
+    in O(1)."""
     if alpha < 0 or gamma < 0:
         raise ValueError("finite ordinals only")
-    m = 0  # the union of go(b) for b < a: go(a - 1), as go only grows
-    for a in range(alpha + 1):
-        if a > m:
-            raise AssertionError("hereditary sum left the ordinals")
-        m = max(m, a + 1) + gamma
-    return m
+    return max(alpha + 1, 1 + (alpha + 1) * gamma)

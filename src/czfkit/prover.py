@@ -24,6 +24,7 @@ search step costs what it changes, not what the sequent holds.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import sys
 from bisect import insort
@@ -145,7 +146,7 @@ def _scan(f: Formula) -> tuple[dict[str, Lit], set[str]]:
     return lits, binders
 
 
-def _terms_in(s: Sequent, scan=_scan) -> list[Term]:
+def _terms_in(s: Sequent, scan) -> list[Term]:
     names: set[str] = set()
     lits: dict[str, Lit] = {}
     for f in s.left + s.right:
@@ -158,7 +159,7 @@ def _terms_in(s: Sequent, scan=_scan) -> list[Term]:
     return terms
 
 
-def _fresh_var(s: Sequent, scan=_scan) -> str:
+def _fresh_var(s: Sequent, scan) -> str:
     used: set[str] = set()
     for f in s.left + s.right:
         used |= f._fv
@@ -265,21 +266,10 @@ class _Search:
         self.limit: str | None = None
         self.loop_hits = 0
         self.memo_hits = 0
-        # each quantifier instance, and each formula's _scan, built once
-        self.instances: dict[tuple[Formula, Term], Formula] = {}
-        self.scans: dict[Formula, tuple[dict[str, Lit], set[str]]] = {}
-
-    def _instance(self, f: Formula, t: Term) -> Formula:
-        a = self.instances.get((f, t))
-        if a is None:
-            a = self.instances[f, t] = _inst(f, t)
-        return a
-
-    def _scanned(self, f: Formula):
-        scan = self.scans.get(f)
-        if scan is None:
-            scan = self.scans[f] = _scan(f)
-        return scan
+        # formulas are hash-consed, so each quantifier instance and each
+        # formula's _scan is built once per search
+        self.scan = functools.cache(_scan)
+        self.instance = functools.cache(_inst)
 
     def _steps(self, s: Sequent):
         """Yields (rule, premises) backward steps in search order.  A
@@ -289,8 +279,8 @@ class _Search:
         for rule, side, cls, witness, build in self.invertible:
             for f in sides[side]:
                 if isinstance(f, cls):
-                    a = witness and self._instance(
-                        f, Var(_fresh_var(s, self._scanned)))
+                    a = witness and self.instance(
+                        f, Var(_fresh_var(s, self.scan)))
                     for premises in build(f, g, d, classical, a):
                         yield rule, premises
                     return
@@ -301,13 +291,13 @@ class _Search:
                     continue
                 if witness is _TERM:
                     # only these rules need the sequent's terms
-                    terms = witnesses = terms or _terms_in(s, self._scanned)
+                    terms = witnesses = terms or _terms_in(s, self.scan)
                 elif witness:
-                    witnesses = (Var(_fresh_var(s, self._scanned)),)
+                    witnesses = (Var(_fresh_var(s, self.scan)),)
                 else:
                     witnesses = (None,)
                 for t in witnesses:
-                    a = None if t is None else self._instance(f, t)
+                    a = None if t is None else self.instance(f, t)
                     for premises in build(f, g, d, classical, a):
                         if len(premises) != 1 or premises[0] != s:
                             yield rule, premises
@@ -415,12 +405,13 @@ def _skeleton(f: Formula) -> Formula:
     return f._rebuild([_skeleton(c) for c in f._subs()])
 
 
-def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
+def _valid_node(d: Derivation, logic: Logic, allow_cut: bool,
+                scan, inst) -> str | None:
     """None when the node is a correct rule instance, else a reason.  A
     quantifier witness is recovered from the premise's terms or is a
     variable fresh for the conclusion; an eigenvariable must not occur free
     in the conclusion: neither in the principal formula nor in the side
-    formulas."""
+    formulas.  scan and inst are the check's memos of _scan and _inst."""
     s = d.conclusion
     g, dd = s.left, s.right
     premises = tuple(p.conclusion for p in d.premises)
@@ -438,8 +429,8 @@ def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
     side, cls, witness, build = _RULES[d.rule]
     witnesses = [None]
     if witness:
-        witnesses = [t for p in premises for t in _terms_in(p)]
-        witnesses.append(Var(_fresh_var(s)))
+        witnesses = [t for p in premises for t in _terms_in(p, scan)]
+        witnesses.append(Var(_fresh_var(s, scan)))
         if witness is _EIGEN:
             taken = set().union(*(f._fv for f in g + dd))
             witnesses = [t for t in witnesses
@@ -449,7 +440,7 @@ def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
     for f in (g, dd)[side]:
         if isinstance(f, cls) and any(
                 premises in build(f, g, dd, classical,
-                                  None if t is None else _inst(f, t))
+                                  None if t is None else inst(f, t))
                 for t in witnesses):
             return None
     return f"no {d.rule} instance matches the premises"
@@ -458,22 +449,21 @@ def _valid_node(d: Derivation, logic: Logic, allow_cut: bool) -> str | None:
 def check_derivation(d: Derivation, logic: Logic = Logic.INTUITIONISTIC,
                      allow_cut: bool = False) -> CheckReport:
     """Validates every node against the rule table and reports whether all
-    formulas in the tree are subformula instances of the endsequent."""
-    skeletons = {_skeleton(sub) for f in d.conclusion.left + d.conclusion.right
+    formulas in the tree are subformula instances of the endsequent.
+    Formulas are hash-consed, so each formula's scan, skeleton and each
+    quantifier instance is built once per check."""
+    scan, inst, skeleton = map(functools.cache, (_scan, _inst, _skeleton))
+    skeletons = {skeleton(sub) for f in d.conclusion.left + d.conclusion.right
                  for sub in subformulas(f)}
     sub_ok = True
-    looked_up: set[Formula] = set()  # formulas are hash-consed
     stack = [d]
     while stack:
         node = stack.pop()
-        reason = _valid_node(node, logic, allow_cut)
+        reason = _valid_node(node, logic, allow_cut, scan, inst)
         if reason is not None:
             return CheckReport(False, node.conclusion, reason, sub_ok)
-        for f in node.conclusion.left + node.conclusion.right:
-            if f not in looked_up:
-                looked_up.add(f)
-                if _skeleton(f) not in skeletons:
-                    sub_ok = False
+        sides = node.conclusion.left + node.conclusion.right
+        sub_ok = sub_ok and all(skeleton(f) in skeletons for f in sides)
         stack.extend(node.premises)
     return CheckReport(True, None, "", sub_ok)
 

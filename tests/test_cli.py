@@ -132,6 +132,12 @@ def test_hadd_of_large_ordinals(capsys):
     assert out_of(capsys) == "7008\n"
 
 
+def test_hadd_is_closed_form(capsys):
+    """hadd does not loop over alpha: a trillion is as quick as one."""
+    assert run(["hadd", "1000000000000", "3"]) == 0
+    assert out_of(capsys) == "3000000000004\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hadd", "--", "-1", "0"], "finite ordinals only"),
     (["hadd", "--", "0", "-1"], "finite ordinals only"),
@@ -229,6 +235,36 @@ def test_deep_input_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+FLAT = " & ".join(["x1 = x1"] * 3000)  # parses without parser recursion
+NEGATED = "~" * 500 + "(x1 = x1)"
+DEEPEST = chain(MAX_NAME_DEPTH)
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", FLAT],
+    ["eliminate-classes", FLAT],
+    ["compile", FLAT, "--arity", "1"],
+    ["hf-sat", FLAT, "--universe", "{}", "--env", "x1={}"],
+    ["interpret", FLAT, "--topology", "T", "--env", "x1={}"],
+    ["translate", FLAT, "--mode", "semantic", "--topology", "T",
+     "--env", "x1={}"],
+    ["translate", NEGATED],
+    ["eliminate-classes", NEGATED],
+    ["interpret", "~" * 190 + "(x = y)", "--topology", "T",
+     "--env", f"x={DEEPEST}", "--env", f"y={DEEPEST}"],
+    ["compile", "x1 = " + "{" * 601 + "}" * 601, "--arity", "1"],
+], ids=["translate-flat", "eliminate-flat", "compile-flat", "hf-sat-flat",
+        "interpret-flat", "semantic-flat", "translate-negated",
+        "eliminate-negated", "interpret-deep-names", "compile-600-deep"])
+def test_recursion_exhaustion_exits_2(capsys, omega_path, argv):
+    """Input that the recursive evaluators cannot finish is an input error,
+    not a traceback."""
+    assert run([omega_path if a == "T" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply\n"
 
 
 def test_interpret_rejects_deep_hf_literal(capsys, omega_path):

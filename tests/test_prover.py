@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import pickle
@@ -675,3 +676,25 @@ def test_check_derivation_mutations():
     assert counts["rename"] > 2000
     assert counts["drop"] > 300
     assert counts["eigen"] > 200
+
+
+def test_check_derivation_walks_each_formula_at_most_twice(monkeypatch):
+    """Within one check, a formula is walked once for its scan and at most
+    once more for the endsequent's skeleton set, however many nodes it
+    occurs in."""
+    proofs = [(r.derivation, logic) for text in CHECKED_TARGETS
+              for logic in Logic
+              if (r := prove_formula(parse(text), logic, budget=300)).outcome
+              is Outcome.PROVED]
+    assert len(proofs) > 30
+    walks = collections.Counter()
+
+    def counting(f):
+        walks[f] += 1
+        return subformulas(f)
+
+    monkeypatch.setattr(prover, "subformulas", counting)
+    for d, logic in proofs:
+        walks.clear()
+        assert check_derivation(d, logic).ok
+        assert max(walks.values()) <= 2, d.conclusion.render()

@@ -11,6 +11,11 @@ follows the usual recursion: equality unfolds to mutual inclusion weighted
 by membership degrees, membership to a weighted join over the candidate's
 entries, and quantifiers range over a finite universe of names built up to
 a fixed depth.
+
+Masks inside, frozensets at the API: names keep their weights as
+frozensets, and every public function takes and returns frame elements as
+frozensets, while ``Interpreter`` and the constructions built on it compute
+on the topology's int masks of the carrier.
 """
 
 from __future__ import annotations
@@ -188,21 +193,46 @@ def op(a: Name, b: Name, t: FormalTopology) -> Name:
     return up(up(a, a, t), up(a, b, t), t)
 
 
+class _MaskedEntries(dict):
+    """Name or class name -> its entries with the weights as masks over t,
+    each converted the first time it is asked for."""
+
+    def __init__(self, t: FormalTopology):
+        self.mask = t._mask
+
+    def __missing__(self, n) -> tuple[tuple[Name, int], ...]:
+        mask = self.mask
+        out = self[n] = tuple([(x, mask[p]) for x, p in n.entries])
+        return out
+
+
 class Interpreter:
     """Forcing values of formulas over a fixed finite name universe.
 
-    Equality values are memoized; the recursion is well founded because
-    entries of a name are strictly shallower than the name.  Equality stops
-    at the first empty conjunct and membership once its join reaches top,
-    since no later operand can change the value.  Ordered-pair names are
-    memoized too, so each is built once per interpreter; the memos die
-    with it, and the weak unique table can free their names."""
+    Frozensets at the API, masks inside: the public methods take and return
+    frame elements as frozensets, and compute on the int masks of the
+    topology's mask tables (see ``topology``).  Each name's entries are
+    converted to masks once per interpreter; a weight reads as its tokens
+    on the carrier, as every weight is met with a set on the carrier.
+
+    ``value`` dispatches on the formula's class through ``_STEPS``, one
+    step function per node kind; a step calls its children's steps
+    directly, so each formula level takes one frame.  A quantifier copies
+    the environment once and rebinds its variable in place.
+
+    Equality and membership values are memoized; the recursion is well
+    founded because entries of a name are strictly shallower than the name.
+    Equality stops at the first empty conjunct and membership once its join
+    reaches top, since no later operand can change the value.  Ordered-pair
+    names are memoized too, so each is built once per interpreter; the
+    memos die with it, and the weak unique table can free their names."""
 
     def __init__(self, universe: NameUniverse):
         self.u = universe
         self.t = universe.topology
-        self._eq: dict[tuple[Name, Name], FrameElement] = {}
-        self._mem: dict[tuple[Name, Name], FrameElement] = {}
+        self._eqs: dict[tuple[Name, Name], int] = {}
+        self._mems: dict[tuple[Name, Name], int] = {}
+        self._masked = _MaskedEntries(self.t)
         self._check: dict[HFSet, Name] = {}
         self._op: dict[tuple[Name, Name], Name] = {}
 
@@ -230,104 +260,194 @@ class Interpreter:
                              "names cannot appear in term position here")
         return val
 
-    # The name a bounded quantifier ranges over; a subclass may reweigh its
-    # entries.  An alias, so plain valuation pays no extra call.
-    _bound_name = term_name
-
     def eq(self, a: Name, b: Name) -> FrameElement:
-        key = (a, b)
-        out = self._eq.get(key)
-        if out is not None:
-            return out
-        out = self._included(a, b, tp.top(self.t))
-        if a is not b:  # for a is b the mirrored half repeats the first
-            out = self._included(b, a, out)
-        self._eq[key] = out
-        self._eq[(b, a)] = out
-        return out
+        return self.t._as_set[self._eq(a, b)]
 
     def mem(self, a: Name, b: Name) -> FrameElement:
-        key = (a, b)
-        out = self._mem.get(key)
-        if out is None:
-            out = self._mem[key] = self._weighted_join(a, b.entries)
-        return out
+        return self.t._as_set[self._mem(a, b)]
 
     def class_mem(self, a: Name, cls: ClassName) -> FrameElement:
-        return self._weighted_join(a, cls.entries)
+        return self.t._as_set[self._class_mem(a, cls)]
 
-    def _included(self, a: Name, b: Name, acc: FrameElement) -> FrameElement:
+    def value(self, f: Formula, env: dict | None = None) -> FrameElement:
+        return self.t._as_set[_STEPS[type(f)](self, f, env or {})]
+
+    # -- on masks ------------------------------------------------------------
+
+    def _eq(self, a: Name, b: Name) -> int:
+        key = (a, b)
+        out = self._eqs.get(key)
+        if out is not None:
+            return out
+        out = self._included(a, b, self.t._top_mask)
+        if a is not b:  # for a is b the mirrored half repeats the first
+            out = self._included(b, a, out)
+        self._eqs[key] = self._eqs[(b, a)] = out
+        return out
+
+    def _mem(self, a: Name, b: Name | ClassName) -> int:
+        key = (a, b)
+        out = self._mems.get(key)
+        if out is None:
+            out = self._mems[key] = self._weighted_join(a, self._masked[b])
+        return out
+
+    def _class_mem(self, a: Name, cls: ClassName) -> int:
+        return self._weighted_join(a, self._masked[cls])
+
+    def _included(self, a: Name | ClassName, b: Name | ClassName,
+                  acc: int) -> int:
         """acc met with px -> mem(x, b) for every entry (x, px) of a.
 
         Stops once the meet is empty.  For an empty px, px -> q is the same
         whatever q is, so that conjunct makes no mem call."""
         t = self.t
-        for x, px in a.entries:
+        implications = t._mask_implications
+        for x, px in self._masked[a]:
             if not acc:
                 break
-            q = self.mem(x, b) if px else frozenset()
-            acc = acc & tp.implies(t, px, q)
+            q = self._mem(x, b) if px else 0
+            r = implications.get((px, q))  # a hit, the common case, inline
+            acc &= tp._implies_mask(t, px, q) if r is None else r
         return acc
 
-    def _weighted_join(self, a: Name, entries) -> FrameElement:
-        """The join of q meet eq(a, y) over the entries (y, q).
+    def _weighted_join(self, a: Name, entries) -> int:
+        """The join of q meet eq(a, y) over the masked entries (y, q).
 
         Entries of empty weight add nothing and make no eq call.  Stops once
         the union reaches top: every eq value lies below top, so the rest
         cannot add to it."""
         t = self.t
-        top = tp.top(t)
-        acc = frozenset()
+        top = t._top_mask
+        acc = 0
         for y, q in entries:
             if q:
-                acc = acc | (q & self.eq(a, y))
+                acc |= q & self._eq(a, y)
                 if acc == top:
                     break
-        return tp.nucleus(t, acc)
+        return t._mask_nuclei[acc]
 
-    def value(self, f: Formula, env: dict | None = None) -> FrameElement:
-        env = env or {}
-        t = self.t
-        match f:
-            case Falsum():
-                return tp.bottom(t)
-            case Eq(l, r):
-                return self.eq(self.term_name(l, env), self.term_name(r, env))
-            case Mem(l, r):
-                return self.mem(self.term_name(l, env), self.term_name(r, env))
-            case ClassMem(term, cls):
-                binding = env.get(cls)
-                if not isinstance(binding, ClassName):
-                    raise ValueError(f"class symbol {cls} is not bound to a "
-                                     "class name")
-                return self.class_mem(self.term_name(term, env), binding)
-            case And(l, r):
-                return tp.meet(t, self.value(l, env), self.value(r, env))
-            case Or(l, r):
-                return tp.join(t, self.value(l, env), self.value(r, env))
-            case Imp(l, r):
-                return tp.implies(t, self.value(l, env), self.value(r, env))
-            case BigAnd(parts):
-                return tp.big_meet(t, (self.value(p, env) for p in parts))
-            case BigOr(parts):
-                return tp.big_join(t, (self.value(p, env) for p in parts))
-            case BoundedAll(v, b, body):
-                bn = self._bound_name(b, env)
-                return tp.big_meet(
-                    t, (tp.implies(t, p, self.value(body, {**env, v: x}))
-                        for x, p in bn.entries))
-            case BoundedEx(v, b, body):
-                bn = self._bound_name(b, env)
-                return tp.big_join(
-                    t, (tp.meet(t, p, self.value(body, {**env, v: x}))
-                        for x, p in bn.entries))
-            case All(v, body):
-                return tp.big_meet(t, (self.value(body, {**env, v: n})
-                                       for n in self.u.names))
-            case Ex(v, body):
-                return tp.big_join(t, (self.value(body, {**env, v: n})
-                                       for n in self.u.names))
-        raise TypeError(f"not a formula: {f!r}")
+    def _bound_entries(self, term: Term, env: dict):
+        """The masked entries a bounded quantifier ranges over; a subclass
+        may reweigh them."""
+        return self._masked[self.term_name(term, env)]
+
+
+# -- value, one step function per formula node ------------------------------
+#
+# Each step takes the interpreter, the node and the environment and returns
+# a mask.  It calls its children's steps itself, through _STEPS.
+
+
+def _falsum(it, f, env):
+    return it.t._mask_nuclei[0]
+
+
+def _eq_atom(it, f, env):
+    return it._eq(it.term_name(f.left, env), it.term_name(f.right, env))
+
+
+def _mem_atom(it, f, env):
+    return it._mem(it.term_name(f.left, env), it.term_name(f.right, env))
+
+
+def _class_mem_atom(it, f, env):
+    binding = env.get(f.cls)
+    if not isinstance(binding, ClassName):
+        raise ValueError(f"class symbol {f.cls} is not bound to a class name")
+    return it._class_mem(it.term_name(f.element, env), binding)
+
+
+def _and(it, f, env):
+    left, right = f.left, f.right
+    return (_STEPS[type(left)](it, left, env)
+            & _STEPS[type(right)](it, right, env))
+
+
+def _or(it, f, env):
+    left, right = f.left, f.right
+    return it.t._mask_nuclei[_STEPS[type(left)](it, left, env)
+                             | _STEPS[type(right)](it, right, env)]
+
+
+def _imp(it, f, env):
+    left, right = f.left, f.right
+    p = _STEPS[type(left)](it, left, env)
+    return tp._implies_mask(it.t, p, _STEPS[type(right)](it, right, env))
+
+
+def _big_and(it, f, env):
+    acc = it.t._top_mask
+    for part in f.parts:
+        acc &= _STEPS[type(part)](it, part, env)
+    return acc
+
+
+def _big_or(it, f, env):
+    acc = 0
+    for part in f.parts:
+        acc |= _STEPS[type(part)](it, part, env)
+    return it.t._mask_nuclei[acc]
+
+
+def _bounded_all(it, f, env):
+    entries = it._bound_entries(f.bound, env)
+    t, v, body = it.t, f.var, f.body
+    step = _STEPS[type(body)]
+    env = dict(env)
+    acc = t._top_mask
+    for x, p in entries:
+        env[v] = x
+        acc &= tp._implies_mask(t, p, step(it, body, env))
+    return acc
+
+
+def _bounded_ex(it, f, env):
+    entries = it._bound_entries(f.bound, env)
+    v, body = f.var, f.body
+    step = _STEPS[type(body)]
+    env = dict(env)
+    acc = 0
+    for x, p in entries:
+        env[v] = x
+        acc |= p & step(it, body, env)
+    return it.t._mask_nuclei[acc]
+
+
+def _all(it, f, env):
+    v, body = f.var, f.body
+    step = _STEPS[type(body)]
+    env = dict(env)
+    acc = it.t._top_mask
+    for n in it.u.names:
+        env[v] = n
+        acc &= step(it, body, env)
+    return acc
+
+
+def _ex(it, f, env):
+    v, body = f.var, f.body
+    step = _STEPS[type(body)]
+    env = dict(env)
+    acc = 0
+    for n in it.u.names:
+        env[v] = n
+        acc |= step(it, body, env)
+    return it.t._mask_nuclei[acc]
+
+
+class _Steps(dict):
+    """Node class -> step function; any other class is not a formula."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"not a formula: a {cls.__name__} object")
+
+
+_STEPS = _Steps({
+    Falsum: _falsum, Eq: _eq_atom, Mem: _mem_atom, ClassMem: _class_mem_atom,
+    And: _and, Or: _or, Imp: _imp, BigAnd: _big_and, BigOr: _big_or,
+    BoundedAll: _bounded_all, BoundedEx: _bounded_ex, All: _all, Ex: _ex,
+})
 
 
 def interpret(f: Formula, env: dict | None, u: NameUniverse) -> FrameElement:
@@ -349,7 +469,8 @@ def class_equal(a: ClassName, b: ClassName, u: NameUniverse) -> FrameElement:
     """Extensional equality of two class names, by the same two-inclusion
     recipe as name equality."""
     it = Interpreter(u)
-    return it._included(b, a, it._included(a, b, tp.top(u.topology)))
+    t = u.topology
+    return t._as_set[it._included(b, a, it._included(a, b, t._top_mask))]
 
 
 # -- constructions with verified properties --------------------------------
@@ -361,21 +482,27 @@ def collection_value(it: Interpreter, a: Name, r: Name,
     pairs spelled as ordered-pair names inside r.  With b omitted the
     target is the whole universe and only totality is measured."""
     t = it.t
-    parts = []
+    nuclei, implies = t._mask_nuclei, tp._implies_mask
+    mem, pair = it._mem, it.op
+    acc = t._top_mask
     if b is None:
-        for x, px in a.entries:
-            hit = tp.big_join(t, (it.mem(it.op(x, y), r) for y in it.u.names))
-            parts.append(tp.implies(t, px, hit))
-        return tp.big_meet(t, parts)
-    for x, px in a.entries:
-        hit = tp.big_join(t, (tp.meet(t, qy, it.mem(it.op(x, y), r))
-                              for y, qy in b.entries))
-        parts.append(tp.implies(t, px, hit))
-    for y, qy in b.entries:
-        hit = tp.big_join(t, (tp.meet(t, px, it.mem(it.op(x, y), r))
-                              for x, px in a.entries))
-        parts.append(tp.implies(t, qy, hit))
-    return tp.big_meet(t, parts)
+        for x, px in it._masked[a]:
+            hit = 0
+            for y in it.u.names:
+                hit |= mem(pair(x, y), r)
+            acc &= implies(t, px, nuclei[hit])
+        return t._as_set[acc]
+    for x, px in it._masked[a]:
+        hit = 0
+        for y, qy in it._masked[b]:
+            hit |= qy & mem(pair(x, y), r)
+        acc &= implies(t, px, nuclei[hit])
+    for y, qy in it._masked[b]:
+        hit = 0
+        for x, px in it._masked[a]:
+            hit |= px & mem(pair(x, y), r)
+        acc &= implies(t, qy, nuclei[hit])
+    return t._as_set[acc]
 
 
 def strong_collection_witness(a: Name, r: Name, p: FrameElement,
@@ -400,14 +527,16 @@ def strong_collection_witness(a: Name, r: Name, p: FrameElement,
         raise ValueError("p does not force totality of the relation on a")
     if not p:
         return EMPTY_NAME
-    collected: dict[Name, set] = {}
-    for x, px in a.entries:
+    mem, pair = it._mem, it.op
+    pm = t._mask[p]
+    collected: dict[Name, int] = {}
+    for x, px in it._masked[a]:
         for y in u.names:
-            weight = tp.big_meet(t, [p, px, it.mem(it.op(x, y), r)])
-            for z in weight:
-                collected.setdefault(y, set()).add(z)
-    return make_name((y, tp.nucleus(t, frozenset(zs)))
-                     for y, zs in collected.items() if zs)
+            weight = pm & px & mem(pair(x, y), r)
+            if weight:
+                collected[y] = collected.get(y, 0) | weight
+    return make_name((y, t._as_set[t._mask_nuclei[w]])
+                     for y, w in collected.items())
 
 
 def powerset_name(a: Name, u: NameUniverse,
@@ -431,7 +560,7 @@ def powerset_name(a: Name, u: NameUniverse,
 
 def subset_value(it: Interpreter, c: Name, a: Name) -> FrameElement:
     """Forcing value of "c is a subset of a"."""
-    return it._included(c, a, tp.top(it.t))
+    return it.t._as_set[it._included(c, a, it.t._top_mask)]
 
 
 # -- text interchange ------------------------------------------------------

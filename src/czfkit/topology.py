@@ -13,6 +13,14 @@ cover: the saturation of every subset of the carrier, ``top`` and
 cover is read only then, so editing the dict afterwards changes nothing;
 build a new topology from an edited copy instead.  Heyting implication is
 memoized per topology, filled as pairs are asked for.
+
+Next to them sit the same tables over int masks, bit i standing for the
+i-th token of the carrier: subset to mask (a set with tokens off the
+carrier reads as its tokens on it), mask to frozenset, the saturation of
+every mask, the top and generator masks, and a lazily filled implication
+memo.  ``names.Interpreter`` computes on masks inside and converts at its
+API; the frozenset operations below are the public ones and the reference
+that tests compare the mask tables against.
 """
 
 from __future__ import annotations
@@ -31,6 +39,19 @@ class TopologyError(ValueError):
 class Violation:
     axiom: str
     detail: str
+
+
+class _SubsetMasks(dict):
+    """Subset of the carrier -> its mask.  Any other set reads as the mask
+    of its tokens on the carrier: the forcing interpreter meets every
+    weight with a set on the carrier, so the rest never counts."""
+
+    def __init__(self, carrier: tuple[str, ...], as_set: list[frozenset]):
+        super().__init__((p, m) for m, p in enumerate(as_set))
+        self.carrier = frozenset(carrier)
+
+    def __missing__(self, p) -> int:
+        return self[self.carrier & p]
 
 
 @dataclass(frozen=True)
@@ -58,14 +79,26 @@ class FormalTopology:
         frame = sorted((p for p in nuclei
                         if self.down(p) == p and nuclei[p] == p),
                        key=lambda p: (len(p), sorted(p)))
+        generators = tuple(nuclei[frozenset([s])] for s in self.carrier)
+        # Mask tables: the same frame over ints, bit i standing for the
+        # i-th token of the carrier.
+        as_set = [frozenset(a for i, a in enumerate(self.carrier)
+                            if m >> i & 1)
+                  for m in range(1 << len(self.carrier))]
+        mask = _SubsetMasks(self.carrier, as_set)
         tables = {
             "_nuclei": nuclei,
             "_top": nuclei[frozenset(self.carrier)],
             "_bottom": nuclei[frozenset()],
-            "_generators": tuple(nuclei[frozenset([s])]
-                                 for s in self.carrier),
+            "_generators": generators,
             "_frame": frame,
             "_implications": {},
+            "_mask": mask,
+            "_as_set": as_set,
+            "_mask_nuclei": [mask[nuclei[p]] for p in as_set],
+            "_top_mask": mask[nuclei[frozenset(self.carrier)]],
+            "_generator_masks": tuple(mask[g] for g in generators),
+            "_mask_implications": {},
         }
         for attr, value in tables.items():
             object.__setattr__(self, attr, value)
@@ -155,6 +188,19 @@ def implies(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement
     if r is None:
         r = memo[(p, q)] = big_join(
             t, [g for g in t._generators if g & p <= q])
+    return r
+
+
+def _implies_mask(t: FormalTopology, p: int, q: int) -> int:
+    """``implies`` on masks, memoized per topology the same way."""
+    memo = t._mask_implications
+    r = memo.get((p, q))
+    if r is None:
+        acc = 0
+        for g in t._generator_masks:
+            if not g & p & ~q:
+                acc |= g
+        r = memo[(p, q)] = t._mask_nuclei[acc]
     return r
 
 

@@ -64,27 +64,29 @@ class _Rounded(Interpreter):
     weight bottom adds nothing to its meet or join."""
 
     def __init__(self, it: Interpreter):
-        self.u, self.t, self._it, self._top = it.u, _TWO, it, tp.top(it.t)
+        super().__init__(it.u)
+        self.t, self._it = _TWO, it
 
-    def _round(self, p: tp.FrameElement) -> tp.FrameElement:
-        return tp.top(_TWO) if p == self._top else tp.bottom(_TWO)
+    def _round(self, p: int) -> int:
+        return _TWO._top_mask if p == self._it.t._top_mask else 0
 
     def term_name(self, term, env: dict) -> Name:
+        # a literal's check name has full weight over it.t, not over _TWO
         return self._it.term_name(term, env)
 
-    def eq(self, a: Name, b: Name) -> tp.FrameElement:
-        return self._round(self._it.eq(a, b))
+    def _eq(self, a: Name, b: Name) -> int:
+        return self._round(self._it._eq(a, b))
 
-    def mem(self, a: Name, b: Name) -> tp.FrameElement:
-        return self._round(self._it.mem(a, b))
+    def _mem(self, a: Name, b: Name) -> int:
+        return self._round(self._it._mem(a, b))
 
-    def class_mem(self, a: Name, cls: ClassName) -> tp.FrameElement:
-        return self._round(self._it.class_mem(a, cls))
+    def _class_mem(self, a: Name, cls: ClassName) -> int:
+        return self._round(self._it._class_mem(a, cls))
 
-    def _bound_name(self, term, env: dict) -> Name:
-        return Name((x, tp.top(_TWO))
-                    for x, p in self.term_name(term, env).entries
-                    if p == self._top)
+    def _bound_entries(self, term, env: dict):
+        top = tp.top(self._it.t)
+        return [(x, _TWO._top_mask)
+                for x, p in self.term_name(term, env).entries if p == top]
 
 
 def semantic_translate(f: Formula, env: dict | None,

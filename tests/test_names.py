@@ -10,7 +10,10 @@ import weakref
 import pytest
 
 from czfkit import hf, names, topology as tp
-from czfkit.formula import parse
+from czfkit.formula import (
+    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
+    Imp, Lit, Mem, Or, neg, parse,
+)
 from czfkit.hf import EMPTY, hfset
 from czfkit.names import (
     EMPTY_NAME, Interpreter, Name, check_name, class_equal, collection_value,
@@ -19,6 +22,7 @@ from czfkit.names import (
     strong_collection_witness, subset_value, up,
 )
 from czfkit.topology import frame_elements, from_poset, omega
+from czfkit.translate import semantic_translate
 
 
 OMEGA = omega()
@@ -660,9 +664,10 @@ def test_class_equal_matches_the_full_fold(t, weights):
 
 
 def _count_outer_mem_calls(monkeypatch):
-    """Records the mem calls not made from inside another mem call."""
+    """Records the internal mem calls (on masks, which the recursion makes)
+    not made from inside another mem call."""
     calls, depth = [], [0]
-    original = Interpreter.mem
+    original = Interpreter._mem
 
     def counting(self, a, b):
         if not depth[0]:
@@ -673,7 +678,7 @@ def _count_outer_mem_calls(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(Interpreter, "mem", counting)
+    monkeypatch.setattr(Interpreter, "_mem", counting)
     return calls
 
 
@@ -696,3 +701,278 @@ def test_eq_of_a_name_with_itself_skips_the_mirror_and_empty_weights(
         calls.clear()
         assert Interpreter(u).eq(a, a) == tp.top(CHAIN)
         assert calls == [(x, a) for x, p in a.entries if p]
+
+
+# -- masks inside, frozensets at the API ---------------------------------------
+
+
+class _FrozensetInterpreter:
+    """Interpreter as it was before it computed on masks: every value a
+    frozenset, combined by ``topology``'s public operations, and ``value``
+    one match over the node classes."""
+
+    def __init__(self, universe):
+        self.u = universe
+        self.t = universe.topology
+        self._eq = {}
+        self._mem = {}
+        self._check = {}
+
+    def term_name(self, term, env):
+        if isinstance(term, Lit):
+            name = self._check.get(term.value)
+            if name is None:
+                name = self._check[term.value] = check_name(term.value,
+                                                            self.t)
+            return name
+        try:
+            val = env[term.name]
+        except KeyError:
+            raise ValueError(f"unassigned variable {term.name}") from None
+        if not isinstance(val, Name):
+            raise ValueError(f"{term.name} is bound to a class name")
+        return val
+
+    _bound_name = term_name
+
+    def eq(self, a, b):
+        key = (a, b)
+        out = self._eq.get(key)
+        if out is not None:
+            return out
+        out = self._included(a, b, tp.top(self.t))
+        if a is not b:
+            out = self._included(b, a, out)
+        self._eq[key] = self._eq[(b, a)] = out
+        return out
+
+    def mem(self, a, b):
+        key = (a, b)
+        out = self._mem.get(key)
+        if out is None:
+            out = self._mem[key] = self._weighted_join(a, b.entries)
+        return out
+
+    def class_mem(self, a, cls):
+        return self._weighted_join(a, cls.entries)
+
+    def _included(self, a, b, acc):
+        t = self.t
+        for x, px in a.entries:
+            if not acc:
+                break
+            q = self.mem(x, b) if px else frozenset()
+            acc = acc & tp.implies(t, px, q)
+        return acc
+
+    def _weighted_join(self, a, entries):
+        t = self.t
+        top = tp.top(t)
+        acc = frozenset()
+        for y, q in entries:
+            if q:
+                acc = acc | (q & self.eq(a, y))
+                if acc == top:
+                    break
+        return tp.nucleus(t, acc)
+
+    def value(self, f, env=None):
+        env = env or {}
+        t = self.t
+        match f:
+            case Falsum():
+                return tp.bottom(t)
+            case Eq(l, r):
+                return self.eq(self.term_name(l, env), self.term_name(r, env))
+            case Mem(l, r):
+                return self.mem(self.term_name(l, env), self.term_name(r, env))
+            case ClassMem(term, cls):
+                return self.class_mem(self.term_name(term, env), env[cls])
+            case And(l, r):
+                return tp.meet(t, self.value(l, env), self.value(r, env))
+            case Or(l, r):
+                return tp.join(t, self.value(l, env), self.value(r, env))
+            case Imp(l, r):
+                return tp.implies(t, self.value(l, env), self.value(r, env))
+            case BigAnd(parts):
+                return tp.big_meet(t, (self.value(p, env) for p in parts))
+            case BigOr(parts):
+                return tp.big_join(t, (self.value(p, env) for p in parts))
+            case BoundedAll(v, b, body):
+                return tp.big_meet(
+                    t, (tp.implies(t, p, self.value(body, {**env, v: x}))
+                        for x, p in self._bound_name(b, env).entries))
+            case BoundedEx(v, b, body):
+                return tp.big_join(
+                    t, (tp.meet(t, p, self.value(body, {**env, v: x}))
+                        for x, p in self._bound_name(b, env).entries))
+            case All(v, body):
+                return tp.big_meet(t, (self.value(body, {**env, v: n})
+                                       for n in self.u.names))
+            case Ex(v, body):
+                return tp.big_join(t, (self.value(body, {**env, v: n})
+                                       for n in self.u.names))
+        raise TypeError(f"not a formula: {f!r}")
+
+
+class _FrozensetRounded(_FrozensetInterpreter):
+    """translate's fold into the two-element frame, over the frozenset
+    interpreter: the reference for ``semantic_translate``."""
+
+    def __init__(self, it):
+        self.u, self.t, self._it, self._top = it.u, OMEGA, it, tp.top(it.t)
+
+    def _round(self, p):
+        return TOP if p == self._top else BOT
+
+    def term_name(self, term, env):
+        return self._it.term_name(term, env)
+
+    def eq(self, a, b):
+        return self._round(self._it.eq(a, b))
+
+    def mem(self, a, b):
+        return self._round(self._it.mem(a, b))
+
+    def class_mem(self, a, cls):
+        return self._round(self._it.class_mem(a, cls))
+
+    def _bound_name(self, term, env):
+        return Name((x, TOP) for x, p in self.term_name(term, env).entries
+                    if p == self._top)
+
+
+def _odd_names(t, tokens):
+    """Depth-1 and depth-2 names whose weights are not frame elements of t,
+    tokens off the carrier ("zz") among them."""
+    weights = [frozenset(w) for w in tokens]
+    assert set(weights) - set(frame_elements(t))
+    shallow = [make_name([(EMPTY_NAME, w)]) for w in weights]
+    return shallow + [make_name([(x, w), (y, v)])
+                      for x, y in itertools.combinations(
+                          [EMPTY_NAME] + shallow[:2], 2)
+                      for w, v in zip(weights, weights[::-1])]
+
+
+ODD_WEIGHTS = {
+    "omega": (OMEGA, [("0", "zz"), ("zz",)]),
+    "chain": (CHAIN, [("b",), ("a", "zz"), ("zz",)]),
+    "antichain": (ANTICHAIN, [("a", "zz"), ("zz",), ("a", "b", "zz")]),
+}
+
+
+def test_tokens_off_the_carrier_are_ignored_inside():
+    it = Interpreter(name_universe(CHAIN, 1))
+    b = make_name([(EMPTY_NAME, {"a", "zz"})])
+    assert it.mem(EMPTY_NAME, b) == frozenset({"a"})
+    assert _FrozensetInterpreter(name_universe(CHAIN, 1)).mem(
+        EMPTY_NAME, b) == frozenset({"a"})
+
+
+def test_mask_tables_match_the_frozenset_operations():
+    from test_acceptance import _all_posets_up_to_3
+    for t in [OMEGA] + _all_posets_up_to_3():
+        subs = list(t.subsets())
+        mask, as_set, nuclei = t._mask, t._as_set, t._mask_nuclei
+        assert as_set[t._top_mask] == tp.top(t)
+        assert [as_set[g] for g in t._generator_masks] == list(t._generators)
+        for p in subs:
+            assert as_set[mask[p]] == p
+            assert mask[p | {"zz"}] == mask[p]
+            assert as_set[nuclei[mask[p]]] == tp.nucleus(t, p)
+            for q in subs:
+                mp, mq = mask[p], mask[q]
+                assert as_set[mp & mq] == tp.meet(t, p, q)
+                assert as_set[nuclei[mp | mq]] == tp.join(t, p, q)
+                assert as_set[tp._implies_mask(t, mp, mq)] == \
+                    tp.implies(t, p, q)
+
+
+@pytest.mark.parametrize("key, pairs_of", [
+    ("chain", lambda d1, d2: itertools.product(d2, d2)),
+    ("antichain", lambda d1, d2: itertools.chain(
+        itertools.product(d2, d1), itertools.product(d1, d2))),
+], ids=["chain-2x2", "antichain-2x1-1x2"])
+def test_eq_and_mem_match_the_frozenset_interpreter(key, pairs_of):
+    """Every pair of depth-2 names on the chain; every depth-2 name against
+    every depth-1 name, both ways, on the antichain; and every pair of odd
+    and depth-1 names."""
+    t, tokens = ODD_WEIGHTS[key]
+    u = name_universe(t, 2)
+    shallow = name_universe(t, 1).names
+    pairs = list(pairs_of(shallow, u.names))
+    pairs += itertools.product(_odd_names(t, tokens) + list(shallow),
+                               repeat=2)
+    ref, it = _FrozensetInterpreter(u), Interpreter(u)
+    got = [(it.eq(a, b), it.mem(a, b)) for a, b in pairs]
+    want = [(ref.eq(a, b), ref.mem(a, b)) for a, b in pairs]
+    assert next((ab for ab, g, w in zip(pairs, got, want) if g != w),
+                None) is None
+
+
+QUANTIFIED = [
+    "all z. (z in x1 -> ex y in x1. y = z)",
+    "ex z. (z in x1 & ~(z = x1))",
+    "all y in x1. (y in x1 | ~(y = y))",
+    "ex y in x1. all z in y. z in x1",
+    "~~(ex z. z in x1) -> all z. ~~(z in z | z = x1)",
+    "(all z. z = x1) <-> x1 in x1",
+    "ex y in x1. (y = {} | {} in y)",
+    "all z. (z in M -> ex y in x1. z in y)",
+]
+
+
+@pytest.mark.parametrize("key", ["omega", "chain", "antichain"])
+def test_value_matches_the_frozenset_interpreter(key):
+    t, tokens = ODD_WEIGHTS[key]
+    u = name_universe(t, 1)
+    formulas = [parse(s) for s in QUANTIFIED]
+    atoms = [parse("x1 in x1"), parse("ex z. z in x1"), parse("x1 = {}")]
+    formulas += [BigAnd(tuple(atoms)), BigOr(tuple(atoms))]
+    odd = _odd_names(t, tokens)
+    cls = make_class_name(zip(odd, itertools.cycle(
+        [frozenset(w) for w in tokens])))
+    ref, it = _FrozensetInterpreter(u), Interpreter(u)
+    for x1 in list(u.names) + odd:
+        env = {"x1": x1, "M": cls}
+        for f in formulas:
+            assert it.value(f, env) == ref.value(f, env), (f, x1)
+            if key == "omega":
+                assert semantic_translate(f, env, it) == \
+                    (_FrozensetRounded(ref).value(f, env) == TOP), (f, x1)
+
+
+@pytest.mark.parametrize("key", ["omega", "chain"])
+def test_collection_matches_the_frozenset_interpreter(key):
+    """A relation per a, weighting pairs with odd weights too, a among the
+    odd names; the frozenset side runs the reference collection_value and
+    witness over the frozenset interpreter."""
+    t, tokens = ODD_WEIGHTS[key]
+    rng = random.Random(17)
+    u = name_universe(t, 2)
+    shallow = name_universe(t, 1).names
+    weights = frame_elements(t) + [frozenset(w) for w in tokens]
+    compared = 0
+    for a in list(shallow) + _odd_names(t, tokens)[:len(tokens)]:
+        slots = [op(x, y, t) for x in a.keys() for y in shallow]
+        r = make_name((s, w) for s in slots
+                      if (w := rng.choice([None, *weights])))
+        ref, it = _FrozensetInterpreter(u), Interpreter(u)
+        pre = collection_value(it, a, r)
+        assert pre == _collection_value_reference(ref, a, r)
+        for p in frame_elements(t):
+            if not p <= pre:
+                continue
+            b = strong_collection_witness(a, r, p, u, it)
+            assert b is _witness_reference(a, r, p, u, ref)
+            assert collection_value(it, a, r, b) == \
+                _collection_value_reference(ref, a, r, b)
+            compared += bool(b.entries)
+    assert compared > 0
+
+
+def test_value_reaches_900_nested_negations():
+    f = parse("x = x")
+    for _ in range(900):
+        f = neg(f)
+    assert Interpreter(u_omega(1)).value(f, {"x": EMPTY_NAME}) == TOP

@@ -66,7 +66,7 @@ def _nesting(text: str, opener: str, closer: str) -> int:
 
 def _check_literal_depth(text: str) -> None:
     """HF literals in text that become names obey MAX_NAME_DEPTH too."""
-    # Measured on the text: HFSet.rank recurses.
+    # Measured on the text, which covers every literal in it at once.
     if _nesting(text, "{", "}") > MAX_NAME_DEPTH:
         raise _InputError(
             f"bad hf literal: nested deeper than {MAX_NAME_DEPTH} levels")
@@ -406,6 +406,9 @@ def run(argv: list[str]) -> int:
         return 2
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
         return 3
     except RecursionError:  # until the evaluators stop recursing
         print("error: input nested too deeply", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import hf
+from . import hf, unique
 from .formula import (
     And, BigAnd, BigOr, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit,
     Mem, Or, Term, Var, _rename_binder, free_vars, is_bounded,
@@ -113,6 +113,7 @@ class Arg:
     """Placeholder for the i-th argument (1-based)."""
     index: int
     size = 1  # nodes in the term's tree, as for App
+    args = ()  # its subterms, as for App
 
     def __post_init__(self):
         if self.index < 1:
@@ -136,29 +137,18 @@ class App:
 OpTerm = Arg | App
 
 
-def _fold(t: OpTerm, leaf, node):
-    """leaf(a) at each Arg and node(app, child values) at each App, children
-    first, walked with an explicit stack, so any depth works."""
-    done: list = []
-    stack: list = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Arg):
-            done.append(leaf(u))
-        elif isinstance(u, App):
-            stack.append((u,))
-            stack.extend(reversed(u.args))
-        else:
-            app, n = u[0], len(u[0].args)
-            values = done[-n:]
-            del done[-n:]
-            done.append(node(app, values))
-    return done[0]
+def _render(t: OpTerm, parts: list[str]) -> str:
+    if isinstance(t, Arg):
+        return f"#{t.index}"
+    # one join, so a long text is copied once, not once per piece
+    pieces = [f"F_{t.op}("] + [s for part in parts for s in (part, ",")]
+    pieces[-1] = ")"
+    return "".join(pieces)
 
 
 def opterm_render(t: OpTerm) -> str:
-    return _fold(t, lambda a: f"#{a.index}",
-                 lambda app, parts: f"F_{app.op}(" + ",".join(parts) + ")")
+    """t in full: a shared subterm is rendered once, written at each use."""
+    return unique.fold(t, lambda u: u.args, _render)
 
 
 def eval_opterm(t: OpTerm, args: list[HFSet]) -> HFSet:
@@ -319,7 +309,8 @@ def _apply(symbol: str, values: tuple, call: _Eval) -> frozenset:
 
 
 def max_placeholder(t: OpTerm) -> int:
-    return _fold(t, lambda a: a.index, lambda app, indices: max(indices))
+    return unique.fold(t, lambda u: u.args, lambda u, indices: (
+        u.index if isinstance(u, Arg) else max(indices)))
 
 
 # -- compiler --------------------------------------------------------------

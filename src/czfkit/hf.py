@@ -105,17 +105,16 @@ class HFSet:
     # -- derived data ------------------------------------------------------
 
     def rank(self) -> int:
-        return max((e.rank() + 1 for e in self._elems), default=0)
+        return unique.fold(self, HFSet.elements,
+                           lambda s, ranks: max(ranks, default=-1) + 1)
 
     def is_transitive(self) -> bool:
         return all(e.is_subset(self) for e in self)
 
     def transitive_closure(self) -> "HFSet":
-        acc: list[HFSet] = []
-        for e in self:
-            acc.append(e)
-            acc.extend(e.transitive_closure())
-        return HFSet(acc)
+        below: list[HFSet] = []
+        unique.fold(self, HFSet.elements, lambda s, _: below.append(s))
+        return HFSet(below[:-1])  # self is combined last
 
 
 EMPTY = HFSet()

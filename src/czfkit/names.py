@@ -88,9 +88,8 @@ class Name:
         return frozenset()
 
     def depth(self) -> int:
-        if not self.entries:
-            return 0
-        return 1 + max(x.depth() for x, _ in self.entries)
+        return unique.fold(self, Name.keys,
+                           lambda n, depths: max(depths, default=-1) + 1)
 
 
 def serialize_name(n: Name) -> str:
@@ -158,21 +157,11 @@ def name_universe(t: FormalTopology, depth: int,
 
 def check_name(x: HFSet, t: FormalTopology) -> Name:
     """The canonical name of a hereditarily finite set: every hereditary
-    member appears with full weight.  Built members first from an explicit
-    stack, so depth costs no recursion, and each distinct member once."""
+    member appears with full weight.  Built by ``unique.fold``, members
+    first, so depth costs no recursion, and each distinct member once."""
     top = tp.top(t)
-    built: dict[HFSet, Name] = {}
-    stack = [x]
-    while stack:
-        s = stack.pop()
-        if s in built:
-            continue
-        missing = [y for y in s if y not in built]
-        if missing:
-            stack += [s, *missing]
-        else:
-            built[s] = make_name((built[y], top) for y in s)
-    return built[x]
+    return unique.fold(x, HFSet.elements,
+                       lambda s, keys: make_name([(y, top) for y in keys]))
 
 
 def up(a: Name, b: Name, t: FormalTopology) -> Name:
@@ -220,12 +209,13 @@ class Interpreter:
     directly, so each formula level takes one frame.  A quantifier copies
     the environment once and rebinds its variable in place.
 
-    Equality and membership values are memoized; the recursion is well
-    founded because entries of a name are strictly shallower than the name.
-    Equality stops at the first empty conjunct and membership once its join
-    reaches top, since no later operand can change the value.  Ordered-pair
-    names are memoized too, so each is built once per interpreter; the
-    memos die with it, and the weak unique table can free their names."""
+    Equality and membership values, in a name or a class name, are memoized;
+    the recursion is well founded because entries of a name are strictly
+    shallower than the name.  Equality stops at the first empty conjunct
+    and membership once its join reaches top, since no later operand can
+    change the value.  Ordered-pair names are memoized too, so each is built
+    once per interpreter; the memos die with it, and the weak unique table
+    can free their names."""
 
     def __init__(self, universe: NameUniverse):
         self.u = universe
@@ -267,7 +257,7 @@ class Interpreter:
         return self.t._as_set[self._mem(a, b)]
 
     def class_mem(self, a: Name, cls: ClassName) -> FrameElement:
-        return self.t._as_set[self._class_mem(a, cls)]
+        return self.t._as_set[self._mem(a, cls)]
 
     def value(self, f: Formula, env: dict | None = None) -> FrameElement:
         return self.t._as_set[_STEPS[type(f)](self, f, env or {})]
@@ -291,9 +281,6 @@ class Interpreter:
         if out is None:
             out = self._mems[key] = self._weighted_join(a, self._masked[b])
         return out
-
-    def _class_mem(self, a: Name, cls: ClassName) -> int:
-        return self._weighted_join(a, self._masked[cls])
 
     def _included(self, a: Name | ClassName, b: Name | ClassName,
                   acc: int) -> int:
@@ -355,7 +342,7 @@ def _class_mem_atom(it, f, env):
     binding = env.get(f.cls)
     if not isinstance(binding, ClassName):
         raise ValueError(f"class symbol {f.cls} is not bound to a class name")
-    return it._class_mem(it.term_name(f.element, env), binding)
+    return it._mem(it.term_name(f.element, env), binding)
 
 
 def _and(it, f, env):

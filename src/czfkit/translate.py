@@ -77,11 +77,8 @@ class _Rounded(Interpreter):
     def _eq(self, a: Name, b: Name) -> int:
         return self._round(self._it._eq(a, b))
 
-    def _mem(self, a: Name, b: Name) -> int:
+    def _mem(self, a: Name, b: Name | ClassName) -> int:
         return self._round(self._it._mem(a, b))
-
-    def _class_mem(self, a: Name, cls: ClassName) -> int:
-        return self._round(self._it._class_mem(a, cls))
 
     def _bound_entries(self, term, env: dict):
         top = tp.top(self._it.t)

@@ -6,7 +6,8 @@ Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  ``HFSet`` and
 ``Name`` each keep one.  A class looks its key up inline in ``__new__``
 (``table.get(key)``, then calls the reference) and, on a miss, builds the
 object and hands it to ``insert``.  An entry goes when the last reference to
-its value does; building the value again makes a fresh object.
+its value does; building the value again makes a fresh object.  ``fold``
+walks such shared values, and shared terms, once per distinct node.
 """
 
 from __future__ import annotations
@@ -48,3 +49,24 @@ def insert(table: dict, drop: Callable[[Entry], None], key, value):
             return live
         _remove_dead_weakref(table, key)  # died, not yet dropped
     return value
+
+
+def fold(root, children, combine):
+    """The value at root of combine(node, [values of its children]), called
+    children first, once per distinct node, on an explicit stack, so depth
+    costs no recursion.  Values are memoized by id, not by node, because
+    hashing a node may walk its whole tree (``godel.App`` is a dataclass).
+    Ids are sound keys as ``children`` returns existing nodes: each stays
+    reachable from root, so alive and the only owner of its id, meanwhile.
+    """
+    values: dict[int, object] = {}
+    stack: list = [(root, None)]  # (node, None) or (node, its children)
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            values[id(node)] = combine(node, [values[id(c)] for c in kids])
+        elif id(node) not in values:
+            kids = children(node)
+            stack.append((node, kids))
+            stack += [(c, None) for c in kids if id(c) not in values]
+    return values[id(root)]

@@ -1,9 +1,15 @@
 import contextlib
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import czfkit
 from czfkit import hierarchy, names
 from czfkit.cli import MAX_NAME_DEPTH, run
 
@@ -528,3 +534,23 @@ def test_exit_code_contract(fuzz_topologies, command, data):
         assert err.getvalue() == ""
     if code == 1:
         assert out.getvalue().strip()
+
+
+def _limit_address_space(limit=400_000_000):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_out_of_memory_exits_3():
+    """Running out of memory is a tripped budget, not a negative answer.
+    The 22-deep literal's term renders to about 160 MB of text; under a
+    400 MB address-space limit the render fails, and nothing is printed.
+    Never run this input without the limit."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(czfkit.__file__).resolve().parents[1]))
+    text = "x1 = " + "{" * 22 + "}" * 22
+    done = subprocess.run(
+        [sys.executable, "-m", "czfkit.cli", "compile", text, "--arity", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (3, "", "budget exceeded: out of memory\n")

@@ -168,8 +168,10 @@ def _quantified_atoms(scope):
     return out
 
 
-def test_eval_matches_reference():
-    pool = list(hf.v_stage(3))
+def _reference_corpus():
+    """(arity, formula) for every formula that test_eval_matches_reference
+    compiles."""
+    out = []
     for arity, count in ((1, 222), (2, 196)):
         scope = {f"x{i}" for i in range(1, arity + 1)}
         formulas = [f for f in corpus.bounded_formulas(arity, 3, limit=250)
@@ -179,11 +181,17 @@ def test_eval_matches_reference():
         if arity == 1:
             formulas += [parse("ex x1 in x1. x1 = x1"),
                          parse("all x1 in x1. false")]
-        for f in formulas:
-            t = compile_bounded(f, arity)
-            for args in itertools.product(pool, repeat=arity):
-                assert eval_opterm(t, list(args)) \
-                    is _eval_reference(t, list(args)), f
+        out += [(arity, f) for f in formulas]
+    return out
+
+
+def test_eval_matches_reference():
+    pool = list(hf.v_stage(3))
+    for arity, f in _reference_corpus():
+        t = compile_bounded(f, arity)
+        for args in itertools.product(pool, repeat=arity):
+            assert eval_opterm(t, list(args)) \
+                is _eval_reference(t, list(args)), f
     assert len(_quantified_atoms(["x1"])) == 32
     assert len(_quantified_atoms(["x1", "x2"])) == 56
     with pytest.raises(ValueError):
@@ -261,6 +269,37 @@ def test_eval_applies_each_node_once(monkeypatch):
     out = godel._Eval([]).set_out
     assert {(op, *map(out, values)) for op, *values in calls} == set(tree)
     assert len(calls) < len(tree)
+
+
+def _fold_reference(t, leaf, node):
+    """The tree walk that rendering and max_placeholder made before they
+    were folds over distinct nodes: leaf(a) at each Arg and node(app, child
+    values) at each App, once per occurrence."""
+    done: list = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Arg):
+            done.append(leaf(u))
+        elif isinstance(u, App):
+            stack.append((u,))
+            stack.extend(reversed(u.args))
+        else:
+            app, n = u[0], len(u[0].args)
+            values = done[-n:]
+            del done[-n:]
+            done.append(node(app, values))
+    return done[0]
+
+
+def test_render_and_max_placeholder_match_the_tree_walk():
+    for arity, f in _reference_corpus():
+        t = compile_bounded(f, arity)
+        assert opterm_render(t) == _fold_reference(
+            t, lambda a: f"#{a.index}",
+            lambda app, parts: f"F_{app.op}(" + ",".join(parts) + ")"), f
+        assert max_placeholder(t) == _fold_reference(
+            t, lambda a: a.index, lambda app, indices: max(indices)), f
 
 
 def test_deep_terms_render_and_evaluate():

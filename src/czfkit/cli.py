@@ -314,7 +314,10 @@ def _cmd(args) -> int:
             if "=>" not in raw:
                 raise _InputError(f"bad map entry {raw!r}, expected x=>y")
             k, v = raw.split("=>", 1)
-            graph[_parse_hf(k)] = _parse_hf(v)
+            x, y = _parse_hf(k), _parse_hf(v)
+            if graph.setdefault(x, y) is not y:
+                raise _InputError(f"bad map entry {raw!r}: {x} already "
+                                  f"maps to {graph[x]}")
         j = checks.EmbeddingMap(_parse_hf(args.source), _parse_hf(args.target),
                                 graph)
         report = checks.check_elementary(j, args.depth)

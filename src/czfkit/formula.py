@@ -65,7 +65,7 @@ def _enter(key: tuple, node: "_Node", fv: frozenset, text: str | None = None):
     return unique.insert(_table, _drop, key, node)
 
 
-class _Node:
+class _Node(unique.Interned):
     """A term or formula node.
 
     ``Cls(*fields)`` returns the live node with these fields when there is
@@ -76,20 +76,7 @@ class _Node:
     construction and a formula the first time ``render`` asks for it.
     """
 
-    __slots__ = ("_fv", "_text", "__weakref__")
-    __match_args__: tuple[str, ...] = ()
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; "
-                             f"cannot set {attr}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"{type(self).__name__} is immutable; "
-                             f"cannot delete {attr}")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the unique table.
-        return type(self), tuple(getattr(self, a) for a in self.__match_args__)
+    __slots__ = ("_fv", "_text")
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{a}={getattr(self, a)!r}"

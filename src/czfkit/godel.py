@@ -566,15 +566,14 @@ def l_stage(alpha: int, k: int, max_size: int = 4096) -> HFSet:
         raise ValueError("finite ordinals only")
     if k < 0:
         raise ValueError("k must be a natural number")
-    stages = [EMPTY]
+    # Stage n is the union over beta < n, so stage n + 1 is stage n joined
+    # with the closure of stage n: one closure per level.
+    stage = EMPTY
     for _ in range(alpha):
-        cur = EMPTY
-        for prev in stages:
-            cur = hf.binary_union(cur, def_stage(prev, k, max_size))
-        if len(cur) > max_size:
+        stage = hf.binary_union(stage, def_stage(stage, k, max_size))
+        if len(stage) > max_size:
             raise BudgetExceeded(f"stage exceeds {max_size} elements")
-        stages.append(cur)
-    return stages[alpha]
+    return stage
 
 
 def hereditary_add(alpha: int, gamma: int) -> int:

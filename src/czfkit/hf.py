@@ -3,9 +3,10 @@
 An HFSet is an immutable, deduplicated, canonically ordered finite set of
 HFSets.  Sets are hash-consed: a module-level unique table maps each member
 set to its one live HFSet, so extensionally equal sets are the same object,
-and equality and hashing are object identity.  The table holds its values
-weakly; an entry goes when the last reference to its set does, and building
-the set again makes a fresh object.  The serialization defined here
+and equality and hashing are object identity; setting an attribute raises
+(``unique.Interned``).  The table holds its values weakly; an entry goes
+when the last reference to its set does, and building the set again makes a
+fresh object.  The serialization defined here
 (``{a,b,...}`` with elements sorted bytewise by their own serializations) is
 the interchange format used by the CLI and the test fixtures.
 """
@@ -27,17 +28,19 @@ class BudgetExceeded(Exception):
 _table, _drop = unique.new_table()
 
 _serialization = operator.attrgetter("_repr")
+_set = object.__setattr__
 
 
 @functools.total_ordering
-class HFSet:
+class HFSet(unique.Interned):
     """A hereditarily finite set in canonical form.
 
     ``HFSet(elems)`` returns the existing set with these members when there
     is one.  Equality and hashing are inherited from ``object``: identity.
     """
 
-    __slots__ = ("_members", "_elems", "_repr", "__weakref__")
+    __slots__ = ("_members", "_elems", "_repr")
+    __match_args__ = ("_elems",)
 
     def __new__(cls, elems: Iterable["HFSet"] = ()):
         members = frozenset(elems)
@@ -50,8 +53,8 @@ class HFSet:
             if not isinstance(e, HFSet):
                 raise TypeError(f"HFSet elements must be HFSets, got {e!r}")
         s = object.__new__(cls)
-        s._members = members
-        s._repr = None
+        _set(s, "_members", members)
+        _set(s, "_repr", None)
         return unique.insert(_table, _drop, members, s)
 
     def __init__(self, elems: Iterable["HFSet"] = ()):
@@ -62,12 +65,9 @@ class HFSet:
         # build it; they store equal values.
         if self._repr is None:
             ordered = sorted(self._members, key=_serialization)
-            self._elems = tuple(ordered)
-            self._repr = "{" + ",".join(map(_serialization, ordered)) + "}"
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the unique table.
-        return HFSet, (self._elems,)
+            _set(self, "_elems", tuple(ordered))
+            _set(self, "_repr",
+                 "{" + ",".join(map(_serialization, ordered)) + "}")
 
     # -- canonical form ----------------------------------------------------
 

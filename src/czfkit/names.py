@@ -36,7 +36,7 @@ from .topology import FormalTopology, FrameElement
 _table, _drop = unique.new_table()
 
 
-class Name:
+class Name(unique.Interned):
     """A name: a tuple of (key name, frame element) entries.
 
     ``Name(entries)`` returns the existing name with these entries when
@@ -45,7 +45,8 @@ class Name:
     sorted by the keys' serializations); ``Name`` keeps the order given.
     """
 
-    __slots__ = ("entries", "_repr", "__weakref__")
+    __slots__ = ("entries", "_repr")
+    __match_args__ = ("entries",)
 
     def __new__(cls, entries=()):
         entries = tuple(entries)
@@ -64,16 +65,6 @@ class Name:
             [f"{x._repr}->{tp.render_frame_element(p)}" for x, p in entries])
             + ")")
         return unique.insert(_table, _drop, entries, n)
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"Name is immutable; cannot set {attr}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"Name is immutable; cannot delete {attr}")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the unique table.
-        return Name, (self.entries,)
 
     def __repr__(self) -> str:
         return f"Name{self._repr}"

@@ -14,7 +14,8 @@ from .hf import HFSet
 
 
 class UnassignedVariable(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unassigned variable {self.args[0]}"
 
 
 def _eval_term(t: Term, env: dict[str, HFSet]) -> HFSet:

@@ -7,20 +7,17 @@ stable lower subsets; meets are intersections, joins are saturations of
 unions, and Heyting implication is computed by joining the principal
 saturations that land under the right-hand side.
 
-Each topology carries frame tables built once, at construction, from its
-cover: the saturation of every subset of the carrier, ``top`` and
-``bottom``, the principal generators and the list of frame elements.  The
-cover is read only then, so editing the dict afterwards changes nothing;
-build a new topology from an edited copy instead.  Heyting implication is
-memoized per topology, filled as pairs are asked for.
-
-Next to them sit the same tables over int masks, bit i standing for the
-i-th token of the carrier: subset to mask (a set with tokens off the
+Each topology carries one set of frame tables, built once, at
+construction, from its cover, over int masks of the carrier, bit i
+standing for the i-th token: subset to mask (a set with tokens off the
 carrier reads as its tokens on it), mask to frozenset, the saturation of
-every mask, the top and generator masks, and a lazily filled implication
-memo.  ``names.Interpreter`` computes on masks inside and converts at its
-API; the frozenset operations below are the public ones and the reference
-that tests compare the mask tables against.
+every mask, the top and principal generator masks, and a Heyting
+implication memo filled as pairs are asked for.  Beside them sit the frame
+elements and ``top`` as frozensets.  The cover is read only at
+construction, so editing the dict afterwards changes nothing; build a new
+topology from an edited copy instead.  ``names.Interpreter`` computes on
+the masks; the public operations below take and return frozensets and
+convert at their boundary.
 """
 
 from __future__ import annotations
@@ -72,36 +69,34 @@ class FormalTopology:
             if a not in self.carrier or not p <= set(self.carrier):
                 raise TopologyError("cover row off the carrier")
         # Frame tables: not fields, so equality, hashing and repr are
-        # unchanged.  A subset off the carrier has no cover row, so its
-        # saturation is empty, as a missing row reads False.
-        nuclei = {p: frozenset(a for a in self.carrier if self.covers(a, p))
-                  for p in self.subsets()}
-        frame = sorted((p for p in nuclei
-                        if self.down(p) == p and nuclei[p] == p),
-                       key=lambda p: (len(p), sorted(p)))
-        generators = tuple(nuclei[frozenset([s])] for s in self.carrier)
-        # Mask tables: the same frame over ints, bit i standing for the
-        # i-th token of the carrier.
+        # unchanged.  Bit i of a mask stands for the i-th token.
         as_set = [frozenset(a for i, a in enumerate(self.carrier)
                             if m >> i & 1)
                   for m in range(1 << len(self.carrier))]
         mask = _SubsetMasks(self.carrier, as_set)
+        nuclei = [mask[frozenset(a for a in self.carrier if self.covers(a, p))]
+                  for p in as_set]
+        frame = sorted((p for m, p in enumerate(as_set)
+                        if self.down(p) == p and nuclei[m] == m),
+                       key=lambda p: (len(p), sorted(p)))
         tables = {
-            "_nuclei": nuclei,
-            "_top": nuclei[frozenset(self.carrier)],
-            "_bottom": nuclei[frozenset()],
-            "_generators": generators,
-            "_frame": frame,
-            "_implications": {},
             "_mask": mask,
             "_as_set": as_set,
-            "_mask_nuclei": [mask[nuclei[p]] for p in as_set],
-            "_top_mask": mask[nuclei[frozenset(self.carrier)]],
-            "_generator_masks": tuple(mask[g] for g in generators),
+            "_mask_nuclei": nuclei,
+            "_top_mask": nuclei[-1],
+            "_generator_masks": tuple(nuclei[1 << i]
+                                      for i in range(len(self.carrier))),
             "_mask_implications": {},
+            "_frame": frame,
+            "_top": as_set[nuclei[-1]],
         }
         for attr, value in tables.items():
             object.__setattr__(self, attr, value)
+
+    @property
+    def _generators(self) -> tuple[FrameElement, ...]:
+        """The principal saturations, one per token of the carrier."""
+        return tuple(self._as_set[g] for g in self._generator_masks)
 
     def below(self, a: str, b: str) -> bool:
         return (a, b) in self.order
@@ -156,8 +151,10 @@ def validate(t: FormalTopology) -> list[Violation]:
 
 
 def nucleus(t: FormalTopology, p) -> FrameElement:
-    """The saturation of p: all tokens covered by p."""
-    return t._nuclei.get(frozenset(p), frozenset())
+    """The saturation of p: all tokens covered by p.  A set with a token
+    off the carrier has no cover row, so its saturation is empty."""
+    m = t._mask.get(frozenset(p))
+    return frozenset() if m is None else t._as_set[t._mask_nuclei[m]]
 
 
 def frame_elements(t: FormalTopology) -> list[FrameElement]:
@@ -170,7 +167,7 @@ def top(t: FormalTopology) -> FrameElement:
 
 
 def bottom(t: FormalTopology) -> FrameElement:
-    return t._bottom
+    return t._as_set[t._mask_nuclei[0]]
 
 
 def meet(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
@@ -182,17 +179,14 @@ def join(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
 
 
 def implies(t: FormalTopology, p: FrameElement, q: FrameElement) -> FrameElement:
-    """Largest r with r meet p below q, joined from principal generators."""
-    memo = t._implications
-    r = memo.get((p, q))
-    if r is None:
-        r = memo[(p, q)] = big_join(
-            t, [g for g in t._generators if g & p <= q])
-    return r
+    """Largest r with r meet p below q.  Tokens off the carrier in p or q
+    change nothing, as no generator holds them."""
+    return t._as_set[_implies_mask(t, t._mask[p], t._mask[q])]
 
 
 def _implies_mask(t: FormalTopology, p: int, q: int) -> int:
-    """``implies`` on masks, memoized per topology the same way."""
+    """``implies`` on masks: the saturation of the join of the principal
+    generators whose meet with p is below q, memoized per topology."""
     memo = t._mask_implications
     r = memo.get((p, q))
     if r is None:

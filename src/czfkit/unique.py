@@ -2,12 +2,13 @@
 
 A unique table maps the canonical key of a value to a weak reference to the
 one live object with that key, so that equal values are one object (after
-Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  ``HFSet`` and
-``Name`` each keep one.  A class looks its key up inline in ``__new__``
-(``table.get(key)``, then calls the reference) and, on a miss, builds the
-object and hands it to ``insert``.  An entry goes when the last reference to
-its value does; building the value again makes a fresh object.  ``fold``
-walks such shared values, and shared terms, once per distinct node.
+Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  ``HFSet``,
+``Name`` and the formula nodes each keep one, and derive from ``Interned``.
+A class looks its key up inline in ``__new__`` (``table.get(key)``, then
+calls the reference) and, on a miss, builds the object and hands it to
+``insert``.  An entry goes when the last reference to its value does;
+building the value again makes a fresh object.  ``fold`` walks such shared
+values, and shared terms, once per distinct node.
 """
 
 from __future__ import annotations
@@ -15,6 +16,27 @@ from __future__ import annotations
 import weakref
 from _weakref import _remove_dead_weakref
 from typing import Callable
+
+
+class Interned:
+    """Base of the hash-consed classes.  Their objects are immutable, as
+    their tables hand them out shared; a class stores its slots with
+    ``object.__setattr__``.  Copy, deepcopy and pickle rebuild an object
+    through its class's table from the fields in ``__match_args__``."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot set {attr}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot delete {attr}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, a) for a in self.__match_args__)
 
 
 class Entry(weakref.ref):

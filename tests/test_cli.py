@@ -107,6 +107,9 @@ def test_hf_sat(capsys):
                 "--env", "y={}"]) == 1
     assert out_of(capsys) == "false\n"
     assert run(["hf-sat", "x in y", "--universe", "{{}}"]) == 2
+    capsys.readouterr()
+    assert run(["hf-sat", "x = y", "--universe", "{}", "--env", "x={}"]) == 2
+    assert capsys.readouterr().err == "error: unassigned variable y\n"
 
 
 def test_lfp(capsys):
@@ -178,6 +181,22 @@ def test_check_elementary(capsys):
     assert out_of(capsys).startswith("fails on ")
     assert run(["check-elementary", "--source", "{{{}}}", "--target", "{{}}",
                 "--map", "{{}}=>{}"]) == 2
+    capsys.readouterr()
+    # one point, two images: refused in either order
+    for maps in (["{}=>{{}}", "{}=>{}"], ["{}=>{}", "{}=>{{}}"]):
+        argv = ["check-elementary", "--source", "{{}}",
+                "--target", "{{},{{}}}"]
+        for m in maps:
+            argv += ["--map", m]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad map entry ")
+        assert captured.err.count("\n") == 1
+    # the same entry twice is one entry
+    assert run(["check-elementary", "--source", "{{}}", "--target", "{{}}",
+                "--map", "{}=>{}", "--map", "{}=>{}"]) == 0
+    assert out_of(capsys).startswith("ok (")
 
 
 def test_topology_validate_and_frame(capsys, chain_path, omega_path, tmp_path):

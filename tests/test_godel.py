@@ -360,6 +360,47 @@ def test_l_stage():
         assert l_stage(beta, 1).is_subset(l_stage(beta + 1, 1))
 
 
+def _l_stage_from_every_earlier_stage(alpha, k, max_size):
+    """Stage n as the union of def_stage over every stage below it."""
+    stages = [EMPTY]
+    for _ in range(alpha):
+        cur = EMPTY
+        for prev in stages:
+            cur = hf.binary_union(cur, def_stage(prev, k, max_size))
+        if len(cur) > max_size:
+            raise hf.BudgetExceeded(f"stage exceeds {max_size} elements")
+        stages.append(cur)
+    return stages[alpha]
+
+
+def _outcome(stage, *args):
+    try:
+        return stage(*args)
+    except hf.BudgetExceeded as e:
+        return f"BudgetExceeded: {e}"
+
+
+def test_l_stage_matches_the_union_over_every_earlier_stage():
+    for alpha, k, max_size in itertools.product(range(4), range(2),
+                                                (10, 64, 4096)):
+        assert _outcome(l_stage, alpha, k, max_size) == _outcome(
+            _l_stage_from_every_earlier_stage, alpha, k, max_size)
+
+
+def test_l_stage_closes_each_stage_once(monkeypatch):
+    calls = []
+
+    def counted(a, k, max_size=4096):
+        calls.append(a)
+        return def_stage(a, k, max_size)
+
+    monkeypatch.setattr(godel, "def_stage", counted)
+    for alpha in range(4):
+        calls.clear()
+        l_stage(alpha, 1)
+        assert len(calls) == alpha
+
+
 def test_stages_reject_negative_arguments():
     with pytest.raises(ValueError, match="^finite ordinals only$"):
         l_stage(-1, 1)

@@ -193,6 +193,17 @@ def test_copy_and_pickle_return_the_same_set():
     assert EMPTY.serialize() == "{}"
 
 
+def test_sets_are_immutable():
+    s = parse_hf("{{}}")
+    for attr in ("_members", "_elems", "_repr"):
+        with pytest.raises(AttributeError, match="^HFSet is immutable; "):
+            setattr(s, attr, "x")
+        with pytest.raises(AttributeError, match="^HFSet is immutable; "):
+            delattr(s, attr)
+    assert str(parse_hf("{{}}")) == "{{}}"
+    assert s.elements() == (EMPTY,)
+
+
 def test_membership_of_non_sets_is_false():
     s = hfset(EMPTY)
     assert [] not in s

@@ -45,8 +45,10 @@ def test_satisfies_literals():
 
 
 def test_unassigned_variable():
-    with pytest.raises(UnassignedVariable):
+    with pytest.raises(UnassignedVariable) as e:
         satisfies(V3, parse("x = x"), {})
+    assert isinstance(e.value, KeyError)
+    assert str(e.value) == "unassigned variable x"
 
 
 def test_comprehension_single_argument():

@@ -240,6 +240,21 @@ def test_tables_match_definitions():
     assert count == 1 + 23 + 1
 
 
+def test_tables_match_definitions_off_the_carrier():
+    """The comparison above with p and q ranging over every subset of the
+    carrier, each also with a token off it: implies reads such sets as
+    their tokens on the carrier, nucleus and join as empty."""
+    for t in reference_topologies():
+        subs = list(t.subsets())
+        subs += [p | {"zz"} for p in subs]
+        for p in subs:
+            assert nucleus(t, p) == ref_nucleus(t, p), (t.carrier, p)
+            for q in subs:
+                assert implies(t, p, q) == ref_implies(t, p, q), (t.carrier,
+                                                                  p, q)
+                assert join(t, p, q) == ref_nucleus(t, p | q)
+
+
 def test_nucleus_off_the_carrier_is_empty():
     t = chain2()
     assert nucleus(t, frozenset(["z"])) == frozenset()

@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="double-negation translation")
     p.add_argument("formula")
-    p.add_argument("--mode", choices=[m.value for m in tr.AtomicMode],
-                   default=tr.AtomicMode.GOEDEL_GENTZEN.value)
+    p.add_argument("--mode", choices=["semantic", "goedel-gentzen"],
+                   default="goedel-gentzen")
     p.add_argument("--topology", help="needed in semantic mode")
     p.add_argument("--depth", type=_natural, default=1)
     p.add_argument("--env", action="append")
@@ -337,8 +337,7 @@ def _cmd(args) -> int:
         return 0
     if args.command == "translate":
         f = _parse_formula(args.formula)
-        mode = tr.AtomicMode(args.mode)
-        if mode is tr.AtomicMode.GOEDEL_GENTZEN:
+        if args.mode == "goedel-gentzen":
             out.write(render(tr.dn_translate(f)) + "\n")
             return 0
         if not args.topology:
@@ -365,7 +364,8 @@ def _cmd(args) -> int:
             return 0
         env = _parse_env(args.env, topology=t)
         if args.command == "translate":
-            return _truth(out, tr.dn_translate(f, mode, u, env))
+            return _truth(out, tr.semantic_translate(f, env,
+                                                     nm.Interpreter(u)))
         f = _parse_formula(args.formula)
         _check_literal_depth(args.formula)
         out.write(tp.render_frame_element(nm.interpret(f, env, u)) + "\n")

@@ -14,13 +14,13 @@ passes the rest through ``g._rebuild([go(c) for c in g._subs()])``;
 Terms and formula nodes are hash-consed like ``HFSet`` and ``Name``: a
 module-level weak unique table maps each node's class and fields to its one
 live node, so equal formulas are one object, and equality and hashing are
-object identity.  Every node stores its free variables, a frozenset built
-from its children's when the node is new, and its rendering, built from its
-children's stored text the first time it is asked for.
+object identity.  A new node stores its free variables, a frozenset, and
+its rendering, both built from its children's, which are built first.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from . import unique
@@ -58,10 +58,11 @@ def _without(fv: frozenset, v: str) -> frozenset:
 
 
 def _enter(key: tuple, node: "_Node", fv: frozenset, text: str | None = None):
-    """Stores the free variables and text of a node that missed in the
-    table, and enters it; returns the node the table holds afterwards."""
+    """Stores the free variables and text (a formula's ``_bare()``) of a
+    node that missed in the table, and enters it; returns the node the
+    table holds afterwards."""
     _set(node, "_fv", fv)
-    _set(node, "_text", text)
+    _set(node, "_text", node._bare() if text is None else text)
     return unique.insert(_table, _drop, key, node)
 
 
@@ -72,8 +73,7 @@ class _Node(unique.Interned):
     one, keyed by class and fields; each class's ``__new__`` looks it up
     and, on a miss, makes the class's checks and builds the node.  Equality
     and hashing are inherited from ``object``: identity.  ``_fv`` holds the
-    free variables; ``_text`` the rendering, which a term gets at
-    construction and a formula the first time ``render`` asks for it.
+    free variables; ``_text`` the rendering.  Both are set at construction.
     """
 
     __slots__ = ("_fv", "_text")
@@ -541,25 +541,11 @@ def parse(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Canonical text; ``parse(render(f))`` is ``f``."""
-    return _text(_checked(f))
+    return _checked(f)._text
 
 
-def _text(f: Formula) -> str:
-    """f's stored text, built on first use for f and the nodes below it
-    that lack theirs, children first, with an explicit stack.  Two threads
-    may both build a node's text; they store equal strings."""
-    if f._text is None:
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            missing = [c for c in g._subs() if c._text is None]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
-            if g._text is None:
-                _set(g, "_text", g._bare())
-    return f._text
+# a node's stored text, as a sort key read in C
+_text = operator.attrgetter("_text")
 
 
 # -- variables and substitution --------------------------------------------

@@ -526,17 +526,15 @@ def _arg_tuples(a: HFSet, symbol: str):
 
 
 def expand(a: HFSet, max_size: int) -> HFSet:
-    """a plus every fundamental-operation value on argument tuples from a."""
-    out = list(a)
+    """a plus every fundamental-operation value on argument tuples from a;
+    BudgetExceeded as soon as that holds more than max_size elements."""
+    out = set(a)
     for symbol in OP_SYMBOLS:
         for args in _arg_tuples(a, symbol):
-            out.append(fundamental_op(symbol, args))
-            if len(out) > max_size * 8:
-                break
-    result = HFSet(out)
-    if len(result) > max_size:
-        raise BudgetExceeded(f"expansion exceeds {max_size} elements")
-    return result
+            out.add(fundamental_op(symbol, args))
+            if len(out) > max_size:
+                raise BudgetExceeded(f"expansion exceeds {max_size} elements")
+    return HFSet(out)
 
 
 def define_step(a: HFSet, max_size: int) -> HFSet:

@@ -1,19 +1,18 @@
 """The double-negation translation and its semantic form.
 
-Two modes: the syntactic Goedel-Gentzen translation, a formula
-transformer, wraps atoms, disjunctions and existentials in double negations
-and leaves the other connectives alone; the semantic mode evaluates atoms
-by forcing over the double-negation topology and combines the results with
-classical truth functions, which is what the translation denotes there.
-That is the fold of ``names.Interpreter.value`` into the two-element frame
-with atom values and bounded-quantifier weights rounded to top or bottom;
-in a nontrivial frame {bottom, top} is a subframe closed under every
-operation of the fold (Fourman and Scott, "Sheaves and logic", 1979).
+``dn_translate`` is the syntactic Goedel-Gentzen translation, a formula
+transformer: it wraps atoms, disjunctions and existentials in double
+negations and leaves the other connectives alone.  ``semantic_translate``
+evaluates atoms by forcing over the double-negation topology and combines
+the results with classical truth functions, which is what the translation
+denotes there.  That is the fold of ``names.Interpreter.value`` into the
+two-element frame with atom values and bounded-quantifier weights rounded
+to top or bottom; in a nontrivial frame {bottom, top} is a subframe closed
+under every operation of the fold (Fourman and Scott, "Sheaves and logic",
+1979).
 """
 
 from __future__ import annotations
-
-import enum
 
 from . import topology as tp
 from .formula import (
@@ -22,36 +21,21 @@ from .formula import (
 from .names import ClassName, Interpreter, Name, NameUniverse
 
 
-class AtomicMode(enum.Enum):
-    SEMANTIC = "semantic"
-    GOEDEL_GENTZEN = "goedel-gentzen"
-
-
 def _dneg(f: Formula) -> Formula:
     return neg(neg(f))
 
 
-def dn_translate(f: Formula, mode: AtomicMode = AtomicMode.GOEDEL_GENTZEN,
-                 u: NameUniverse | None = None, env: dict | None = None):
-    """The double-negation translation.
+def dn_translate(f: Formula) -> Formula:
+    """The Goedel-Gentzen translation: double negations over atoms,
+    disjunctions and existentials."""
 
-    In Goedel-Gentzen mode the result is a Formula with double negations
-    over atoms, disjunctions and existentials.  In semantic mode atoms are
-    evaluated by forcing over the supplied universe and the result is the
-    truth value of the translated formula."""
-    if mode is AtomicMode.GOEDEL_GENTZEN:
-        return _gg(f)
-    if u is None:
-        raise ValueError("semantic mode needs a name universe")
-    return semantic_translate(f, env, Interpreter(u))
+    def go(g: Formula) -> Formula:
+        if isinstance(g, (Eq, Mem, ClassMem)):
+            return _dneg(g)
+        h = g._rebuild([go(c) for c in g._subs()])
+        return _dneg(h) if isinstance(g, (Or, BigOr, BoundedEx, Ex)) else h
 
-
-def _gg(f: Formula) -> Formula:
-    """The Goedel-Gentzen translation as a formula transformer."""
-    if isinstance(f, (Eq, Mem, ClassMem)):
-        return _dneg(f)
-    g = _checked(f)._rebuild([_gg(c) for c in f._subs()])
-    return _dneg(g) if isinstance(f, (Or, BigOr, BoundedEx, Ex)) else g
+    return go(_checked(f))
 
 
 _TWO = tp.omega()  # its frame is the two-element Boolean algebra

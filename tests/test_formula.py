@@ -367,6 +367,20 @@ def test_every_node_kind_rebuilds_from_its_children():
         assert type(rebuilt) is type(g) and rebuilt._subs() == new
 
 
+def test_every_node_kind_holds_its_text_once_built():
+    # names no other test uses, so every node here is new
+    x, y = Var("text_probe"), Lit(hf.hfset(hf.hfset(hf.hfset(hf.EMPTY))))
+    a = Eq(x, y)
+    nodes = [Falsum(), a, Mem(y, x), ClassMem(x, "TextProbe"), And(a, a),
+             Or(a, a), Imp(a, a), neg(a), BigAnd((a, a)), BigOr((a,)),
+             BoundedAll("text_z", x, a), BoundedEx("text_z", y, a),
+             All("text_z", a), Ex("text_z", a)]
+    assert {type(g) for g in nodes} == _concrete_formula_classes()
+    for g in nodes:
+        assert g._text is not None
+        assert g._text == _render_reference(g)
+
+
 def test_subformulas_is_preorder():
     f = parse("(x = x -> y = y) & ~(ex z. z in x)")
     assert [render(g) for g in subformulas(f)] == [

@@ -353,6 +353,48 @@ def test_def_stage_budget():
         def_stage(hf.v_stage(3), 3, max_size=10)
 
 
+def _expand_appending_past_the_budget(a, max_size):
+    """The reference expansion: append each value, stop a symbol's values
+    once the list passes 8 * max_size, and check the budget on the set at
+    the end."""
+    out = list(a)
+    for symbol in godel.OP_SYMBOLS:
+        for args in godel._arg_tuples(a, symbol):
+            out.append(fundamental_op(symbol, args))
+            if len(out) > max_size * 8:
+                break
+    result = hf.HFSet(out)
+    if len(result) > max_size:
+        raise hf.BudgetExceeded(f"expansion exceeds {max_size} elements")
+    return result
+
+
+def test_expand_matches_appending_past_the_budget():
+    v3 = list(hf.v_stage(3))
+    sets = [hf.v_stage(n) for n in range(4)]
+    sets += [hf.von_neumann(n) for n in range(7)]
+    sets += [hfset(x, y) for x in v3 for y in v3]
+    for a in sets:
+        for max_size in [2 ** i for i in range(9)] + [4096]:
+            assert _outcome(godel.expand, a, max_size) == _outcome(
+                _expand_appending_past_the_budget, a, max_size)
+
+
+def test_expand_stops_at_the_budget(monkeypatch):
+    calls = 0
+
+    def counted(symbol, args):
+        nonlocal calls
+        calls += 1
+        return fundamental_op(symbol, args)
+
+    monkeypatch.setattr(godel, "fundamental_op", counted)
+    with pytest.raises(hf.BudgetExceeded,
+                       match="^expansion exceeds 4096 elements$"):
+        l_stage(4, 1)
+    assert calls < 10_000
+
+
 def test_l_stage():
     assert l_stage(0, 1) == EMPTY
     assert l_stage(1, 1) == hfset(EMPTY, ONE)

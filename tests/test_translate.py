@@ -7,7 +7,7 @@ from czfkit.formula import (
 from czfkit.names import Interpreter, check_name, name_universe
 from czfkit.prover import Logic, Outcome, prove_formula
 from czfkit.translate import (
-    AtomicMode, dn_translate, semantic_coincidence_check, semantic_translate,
+    dn_translate, semantic_coincidence_check, semantic_translate,
 )
 from czfkit.topology import FormalTopology, from_poset, omega, validate
 from czfkit import hf
@@ -76,22 +76,16 @@ def test_translation_provable_from_original_classically():
         assert prove_formula(bi, Logic.CLASSICAL).outcome is Outcome.PROVED
 
 
-def test_semantic_mode_needs_universe():
-    with pytest.raises(ValueError):
-        dn_translate(parse("x = x"), AtomicMode.SEMANTIC)
-
-
 def test_semantic_mode_values():
     u = name_universe(omega(), 1)
     zero = check_name(hf.EMPTY, omega())
     one = check_name(hf.hfset(hf.EMPTY), omega())
     env = {"x": zero, "y": one}
-    assert dn_translate(parse("x in y"), AtomicMode.SEMANTIC, u, env) is True
-    assert dn_translate(parse("y in x"), AtomicMode.SEMANTIC, u, env) is False
-    assert dn_translate(parse("x = y | ~(x = y)"),
-                        AtomicMode.SEMANTIC, u, env) is True
-    assert dn_translate(parse("ex z. z in y"),
-                        AtomicMode.SEMANTIC, u, env) is True
+    it = Interpreter(u)
+    assert semantic_translate(parse("x in y"), env, it) is True
+    assert semantic_translate(parse("y in x"), env, it) is False
+    assert semantic_translate(parse("x = y | ~(x = y)"), env, it) is True
+    assert semantic_translate(parse("ex z. z in y"), env, it) is True
 
 
 def test_coincidence_on_corpus():

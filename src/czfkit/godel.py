@@ -11,8 +11,10 @@ expand and the CLI use and the tests compare against.  eval_opterm computes
 the same values in a normal form that keeps Kuratowski pairs as Python
 tuples (<a, b> is (a, b)), so relations are not built as HFSets between one
 operation and the next; it builds an HFSet where an operation needs the
-members of an element, and for the result.  Compiled terms share subterms,
-so within one call each node is evaluated once.  Nothing outlives the call.
+members of an element, and for the result.  Each node costs one lookup in
+_OPS, a table from operation symbol to its function on normal forms, after
+its children's values are in.  Compiled terms share subterms, so within
+one call each node is evaluated once.  Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -173,6 +175,10 @@ class _Eval:
     where an operation needs the members of an element (p, cup, cap over a
     family, imp, forall, mem) and for the result.  Conversions between sets
     and normal forms are memoized for the call.
+
+    value computes a node's children itself and then applies the node's
+    entry in _OPS to them, so evaluation takes one Python frame per term
+    level: the table's functions never evaluate a term.
     """
 
     __slots__ = ("args", "nodes", "nfs", "sets")
@@ -199,15 +205,15 @@ class _Eval:
             # conjunction and disjunction; the pair set is never built
             y, z = a[-1].args
             if op == "cap":
-                op, values = "inter", (self.value(a[0]), self.value(y),
-                                       self.value(z))
+                v = _OPS["inter"](self, self.value(a[0]), self.value(y),
+                                  self.value(z))
             else:
-                op, values = "union", (self.value(y), self.value(z))
+                v = _OPS["union"](self, self.value(y), self.value(z))
         elif len(a) == 1:
-            values = (self.value(a[0]),)
+            v = _OPS[op](self, self.value(a[0]))
         else:
-            values = (self.value(a[0]), self.value(a[1]))
-        v = self.nodes[id(t)] = _apply(op, values, self)
+            v = _OPS[op](self, self.value(a[0]), self.value(a[1]))
+        self.nodes[id(t)] = v
         return v
 
     def nf(self, s: HFSet):
@@ -242,70 +248,90 @@ class _Eval:
         return HFSet(map(self.to_set, x))
 
 
-def _apply(symbol: str, values: tuple, call: _Eval) -> frozenset:
-    """fundamental_op on normal-form values, plus the two shapes that
-    _Eval.value reads whole: inter(x, y, z) = x cap y cap z and
-    union(y, z) = y cup z."""
-    match symbol:
-        case "p":
-            x, y = values
-            return frozenset((call.element(x), call.element(y)))
-        case "cap":
-            # x cap bigcap y; bigcap of the empty family absorbs: result x
-            x, y = values
-            for e in y:
-                x = x & call.members(e)
-            return x
-        case "inter":
-            x, y, z = values
-            return x & y & z
-        case "cup":
-            (x,) = values
-            return frozenset().union(*map(call.members, x))
-        case "union":
-            y, z = values
-            return y | z
-        case "diff":
-            x, y = values
-            return x - y
-        case "times":
-            x, y = values
-            return frozenset([(u, v) for u in x for v in y])
-        case "imp":
-            x, y = values
-            p = call.element(y)
-            if type(p) is not tuple:
-                return frozenset()
-            # {z in x | z in p[0] -> z in p[1]}
-            return x - (call.members(p[0]) - call.members(p[1]))
-        case "forall":
-            # {x"{z} | z in y}, grouping x's pairs by first coordinate once
-            x, y = values
-            image: dict = {}
-            for e in x:
-                if type(e) is tuple:
-                    image.setdefault(e[0], []).append(e[1])
-            return frozenset([call.element(frozenset(image.get(z, ())))
-                              for z in y])
-        case "dom":
-            return frozenset([e[0] for e in values[0] if type(e) is tuple])
-        case "ran":
-            return frozenset([e[1] for e in values[0] if type(e) is tuple])
-        case "123":
-            x, y = values
-            return frozenset([(e[0], (e[1], w))
-                              for e in x if type(e) is tuple for w in y])
-        case "132":
-            x, y = values
-            return frozenset([(e[0], (w, e[1]))
-                              for e in x if type(e) is tuple for w in y])
-        case "eq":
-            x, y = values
-            return frozenset([(v, v) for v in x & y])
-        case "mem":
-            x, y = values
-            return frozenset([(v, u) for v in y for u in call.members(v) & x])
-    raise AssertionError
+def _nf_p(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset((call.element(x), call.element(y)))
+
+
+def _nf_cap(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    # x cap bigcap y; bigcap of the empty family absorbs: result x
+    for e in y:
+        x = x & call.members(e)
+    return x
+
+
+def _nf_inter(call: _Eval, x: frozenset, y: frozenset,
+              z: frozenset) -> frozenset:
+    return x & y & z
+
+
+def _nf_cup(call: _Eval, x: frozenset) -> frozenset:
+    return frozenset().union(*map(call.members, x))
+
+
+def _nf_union(call: _Eval, y: frozenset, z: frozenset) -> frozenset:
+    return y | z
+
+
+def _nf_diff(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return x - y
+
+
+def _nf_times(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset([(u, v) for u in x for v in y])
+
+
+def _nf_imp(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    p = call.element(y)
+    if type(p) is not tuple:
+        return frozenset()
+    # {z in x | z in p[0] -> z in p[1]}
+    return x - (call.members(p[0]) - call.members(p[1]))
+
+
+def _nf_forall(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    # {x"{z} | z in y}, grouping x's pairs by first coordinate once
+    image: dict = {}
+    for e in x:
+        if type(e) is tuple:
+            image.setdefault(e[0], []).append(e[1])
+    return frozenset([call.element(frozenset(image.get(z, ()))) for z in y])
+
+
+def _nf_dom(call: _Eval, x: frozenset, _: frozenset) -> frozenset:
+    return frozenset([e[0] for e in x if type(e) is tuple])
+
+
+def _nf_ran(call: _Eval, x: frozenset, _: frozenset) -> frozenset:
+    return frozenset([e[1] for e in x if type(e) is tuple])
+
+
+def _nf_123(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset([(e[0], (e[1], w))
+                      for e in x if type(e) is tuple for w in y])
+
+
+def _nf_132(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset([(e[0], (w, e[1]))
+                      for e in x if type(e) is tuple for w in y])
+
+
+def _nf_eq(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset([(v, v) for v in x & y])
+
+
+def _nf_mem(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    return frozenset([(v, u) for v in y for u in call.members(v) & x])
+
+
+# fundamental_op on normal-form values, one entry per symbol, plus the two
+# shapes that _Eval.value reads whole: inter(x, y, z) = x cap y cap z and
+# union(y, z) = y cup z.  Each entry takes the call and the argument values.
+_OPS = {
+    "p": _nf_p, "cap": _nf_cap, "cup": _nf_cup, "diff": _nf_diff,
+    "times": _nf_times, "imp": _nf_imp, "forall": _nf_forall,
+    "dom": _nf_dom, "ran": _nf_ran, "123": _nf_123, "132": _nf_132,
+    "eq": _nf_eq, "mem": _nf_mem, "inter": _nf_inter, "union": _nf_union,
+}
 
 
 def max_placeholder(t: OpTerm) -> int:

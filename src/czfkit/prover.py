@@ -9,7 +9,9 @@ succedent everywhere and needs no repetition.  Search is budget-bounded
 with memoized failures and an ancestor check against looping, so the
 outcome distinguishes refutation within the search space from running out
 of budget.  Bounded quantifiers are expanded to guarded unbounded ones on
-entry.  Finite conjunctions and disjunctions are handled natively.
+entry.  Finite conjunctions and disjunctions are handled natively.  The
+calculus has no equality rules: ``=`` is an uninterpreted atom like ``in``,
+so ``x = x`` is not provable in either logic.
 
 Each rule is written once, in ``_RULES``: the side and node class of its
 principal formula and a function that builds the premises of each instance.

@@ -68,10 +68,9 @@ def comprehension(f: Formula, args: list[HFSet]) -> HFSet:
     The independent oracle for the bounded-formula compiler; evaluation
     never consults an ambient universe since f must be bounded.
     """
-    n = len(args)
+    names = [f"x{i + 1}" for i in range(len(args))]
     out = []
-    for combo in itertools.product(*(list(a) for a in args)):
-        env = {f"x{i + 1}": combo[i] for i in range(n)}
-        if satisfies(hf.EMPTY, f, env):
-            out.append(hf.tuple_right([combo[i] for i in reversed(range(n))]))
+    for combo in itertools.product(*args):
+        if satisfies(hf.EMPTY, f, dict(zip(names, combo))):
+            out.append(hf.tuple_right(combo[::-1]))
     return HFSet(out)

@@ -204,10 +204,11 @@ def test_ops_on_normal_forms_match_fundamental_op():
     square = hf.product(hf.v_stage(2), hf.v_stage(2))
     pool = list(hf.v_stage(4)) + [square, hfset(kpair(EMPTY, EMPTY))]
     call = godel._Eval([])
+    assert set(godel._OPS) == {*godel.OP_SYMBOLS, "inter", "union"}
 
     def apply(symbol, *sets):
-        values = tuple(call.set_in(s) for s in sets)
-        return call.set_out(godel._apply(symbol, values, call))
+        values = [call.set_in(s) for s in sets]
+        return call.set_out(godel._OPS[symbol](call, *values))
 
     for x, y in itertools.product(pool, repeat=2):
         assert apply("cup", x) is fundamental_op("cup", [x])
@@ -257,13 +258,15 @@ def test_eval_applies_each_node_once(monkeypatch):
 
     want = walk(t)
     calls = []
-    apply = godel._apply
 
-    def counting(symbol, values, call):
-        calls.append((symbol, *values))
-        return apply(symbol, values, call)
+    def counting(symbol, apply):
+        def op(call, *values):
+            calls.append((symbol, *values))
+            return apply(call, *values)
+        return op
 
-    monkeypatch.setattr(godel, "_apply", counting)
+    for symbol, apply in list(godel._OPS.items()):
+        monkeypatch.setitem(godel._OPS, symbol, counting(symbol, apply))
     assert eval_opterm(t, args) is want
     assert len(calls) == len(nodes)
     out = godel._Eval([]).set_out
@@ -317,6 +320,16 @@ def test_deep_terms_render_and_evaluate():
         want = hfset(a1) if a1 else EMPTY
         assert eval_opterm(t, [hfset(a1)]) is want
     f = parse("~" * 200 + "x1 = x1")  # a term 601 deep
+    t = compile_bounded(f, 1)
+    for a1 in hf.v_stage(2):
+        assert eval_opterm(t, [hfset(a1)]) is comprehension(f, [hfset(a1)])
+
+
+def test_evaluation_reaches_400_negations():
+    """value takes one frame per term level and the table's functions take
+    none, so a term twice as deep as the 200-negation case above
+    still evaluates under the default recursion limit."""
+    f = parse("~" * 400 + "x1 = x1")
     t = compile_bounded(f, 1)
     for a1 in hf.v_stage(2):
         assert eval_opterm(t, [hfset(a1)]) is comprehension(f, [hfset(a1)])

@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
-from czfkit import hf
-from czfkit.formula import parse
-from czfkit.hf import EMPTY, hfset, kpair
+from czfkit import corpus, hf
+from czfkit.formula import (
+    BoundedAll, BoundedEx, Eq, Lit, Mem, Var, free_vars, parse,
+)
+from czfkit.hf import EMPTY, HFSet, hfset, kpair
 from czfkit.semantics import UnassignedVariable, comprehension, satisfies
 
 
@@ -63,3 +67,56 @@ def test_comprehension_tuple_order():
     a1, a2 = hfset(ONE), ONE
     out = comprehension(parse("x2 in x1"), [a1, a2])
     assert out == hfset(kpair(EMPTY, ONE))
+
+
+def _comprehension_reference(f, args):
+    """comprehension as it was written before it built its variable names
+    once per call: a fresh environment dict per tuple, from copied args."""
+    n = len(args)
+    out = []
+    for combo in itertools.product(*(list(a) for a in args)):
+        env = {f"x{i + 1}": combo[i] for i in range(n)}
+        if satisfies(hf.EMPTY, f, env):
+            out.append(hf.tuple_right([combo[i] for i in reversed(range(n))]))
+    return HFSet(out)
+
+
+def _quantified_atoms(scope):
+    """Every ``all/ex y1 in x. atom`` with x in scope, whose atom compares
+    two of scope, y1 and {} (one at least a variable), with free variables
+    exactly scope."""
+    terms = [Var(v) for v in scope] + [Var("y1"), Lit(EMPTY)]
+    out = []
+    for quantifier, bound, atom in itertools.product(
+            (BoundedAll, BoundedEx), scope, (Eq, Mem)):
+        for left, right in itertools.product(terms, repeat=2):
+            if isinstance(left, Var) or isinstance(right, Var):
+                f = quantifier("y1", Var(bound), atom(left, right))
+                if free_vars(f) == set(scope):
+                    out.append(f)
+    return out
+
+
+def test_comprehension_matches_reference():
+    unary = [f for f in corpus.bounded_formulas(1, 3, 250)
+             if free_vars(f) == {"x1"}]
+    binary = _quantified_atoms(["x1", "x2"])
+    assert (len(unary), len(binary)) == (222, 56)
+    for f in unary:
+        for a1 in V3:
+            assert comprehension(f, [a1]) is \
+                _comprehension_reference(f, [a1]), f
+    for f in binary:
+        for a1, a2 in itertools.product(V3, repeat=2):
+            assert comprehension(f, [a1, a2]) is \
+                _comprehension_reference(f, [a1, a2]), f
+
+
+def test_comprehension_errors_match_reference():
+    for run in (comprehension, _comprehension_reference):
+        # a true sentence at arity 0 has the empty tuple as its member
+        with pytest.raises(ValueError, match="empty tuple has no encoding"):
+            run(parse("{} = {}"), [])
+        assert run(parse("{} in {}"), []) is EMPTY
+        with pytest.raises(UnassignedVariable, match="x2"):
+            run(parse("x2 in x1"), [ONE])

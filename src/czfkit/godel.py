@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import hf, unique
 from .formula import (
     And, BigAnd, BigOr, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit,
-    Mem, Or, Term, Var, _rename_binder, free_vars, is_bounded,
+    Mem, Or, Term, Var, _rename_binder, class_ids, free_vars, is_bounded,
 )
 from .hf import EMPTY, HFSet, BudgetExceeded
 
@@ -439,8 +439,6 @@ class _Compiler:
             # 0 for literals
             if isinstance(t, Lit):
                 return 0
-            if t.name not in ctx:
-                raise CompileError(f"free variable {t.name} not among x1..xn")
             return ctx[t.name]
 
         left, right = f.left, f.right
@@ -508,8 +506,6 @@ class _Compiler:
                     slot = self.literal(b.value)
                     inner = body
                 else:
-                    if b.name not in ctx:
-                        raise CompileError(f"free variable {b.name} not among x1..xn")
                     slot = _app("cup", slots[ctx[b.name] - 1])
                     guard = Mem(Var(v), b)
                     inner = And(guard, body) if isinstance(f, BoundedEx) \
@@ -521,7 +517,7 @@ class _Compiler:
                 # P_m cap bigcap of the sections of s by the bound's elements;
                 # an empty bound makes the bigcap absorb, leaving P_m
                 return _app("cap", self.prod(slots), _app("forall", s, slot))
-        raise CompileError("formula contains an unbounded quantifier")
+        raise AssertionError(f"not a bounded set formula: {f!r}")
 
 
 def compile_bounded(f: Formula, arity: int) -> OpTerm:
@@ -530,6 +526,9 @@ def compile_bounded(f: Formula, arity: int) -> OpTerm:
         raise CompileError("arity must be at least 1")
     if not is_bounded(f):
         raise CompileError("formula contains an unbounded quantifier")
+    if classes := class_ids(f):
+        raise CompileError(
+            f"formula contains a class atom over {', '.join(sorted(classes))}")
     expected = {f"x{i}" for i in range(1, arity + 1)}
     fv = free_vars(f)
     if fv != expected:

@@ -5,20 +5,20 @@ forms: level 0 is the bounded formulas; Sigma_{n+1} is the least class
 containing Pi_n closed under and/or, bounded quantifiers and unbounded
 exists; Pi_{n+1} is the least class containing Sigma_n closed under and/or,
 implications with Sigma_n antecedent and Pi_{n+1} consequent, bounded
-quantifiers and unbounded forall.  Membership is decidable by structural
-recursion; the classifier reports minimal levels only and makes no
-strictness claim.
+quantifiers and unbounded forall.  The classes are cumulative, so a formula
+is in Sigma_n exactly when n reaches its minimal Sigma level.  One bottom-up
+pass over the distinct subformulas computes the minimal pair of every node
+from its children's; the classifier makes no strictness claim.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .formula import (
-    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Ex, Formula,
-    Imp, Or, is_bounded, subformulas,
-)
+from . import unique
+from .formula import All, BigAnd, BigOr, ClassMem, Ex, Formula, Imp, subformulas
 
 
 class Side(enum.Enum):
@@ -45,34 +45,30 @@ def _check_atoms(f: Formula, extra: frozenset[str]):
                 f"class atom over undeclared symbol {g.cls}; pass it in extra")
 
 
-_DUAL = {Side.SIGMA: Side.PI, Side.PI: Side.SIGMA}
+def _pair(g: Formula, kids: list[tuple[int, int]]) -> tuple[int, int]:
+    """(minimal Sigma level, minimal Pi level) of g from its children's.
 
-
-def _in(f: Formula, side: Side, n: int, memo: dict) -> bool:
-    key = (f, side, n)
-    if key in memo:
-        return memo[key]
-    if n == 0:
-        result = is_bounded(f)
-    elif _in(f, _DUAL[side], n - 1, memo):
-        result = True
+    For n >= 1, g is in Sigma_n iff it is in Pi_{n-1} or a Sigma closure
+    rule applies with its children at level n, i.e. iff n >= pi + 1 or
+    n >= a, where a is the least level at which a rule applies (infinite
+    when none can).  So sigma = min(pi + 1, a), dually pi = min(sigma + 1,
+    b), and the least solution of the two is the pair returned."""
+    if kids.count((0, 0)) == len(kids) and not isinstance(g, (All, Ex)):
+        return 0, 0
+    if isinstance(g, Imp):
+        (sigma_left, _), (_, pi_right) = kids
+        a, b = math.inf, max(1, sigma_left + 1, pi_right)
     else:
-        match f:
-            case And(l, r) | Or(l, r):
-                result = _in(l, side, n, memo) and _in(r, side, n, memo)
-            case BoundedAll(_, _, body) | BoundedEx(_, _, body):
-                result = _in(body, side, n, memo)
-            case Ex(_, body) if side is Side.SIGMA:
-                result = _in(body, side, n, memo)
-            case All(_, body) if side is Side.PI:
-                result = _in(body, side, n, memo)
-            case Imp(l, r) if side is Side.PI:
-                result = (_in(l, Side.SIGMA, n - 1, memo)
-                          and _in(r, side, n, memo))
-            case _:
-                result = False
-    memo[key] = result
-    return result
+        a = max(1, *(sigma for sigma, _ in kids))
+        b = math.inf if isinstance(g, Ex) else max(1, *(pi for _, pi in kids))
+        if isinstance(g, All):
+            a = math.inf
+    return min(a, b + 1), min(b, a + 1)
+
+
+def _levels(f: Formula, extra) -> tuple[int, int]:
+    _check_atoms(f, frozenset(extra))
+    return unique.fold(f, lambda g: g._subs(), _pair)
 
 
 def in_level(f: Formula, side: Side, n: int,
@@ -80,22 +76,12 @@ def in_level(f: Formula, side: Side, n: int,
     """Decide membership of f in Sigma_n or Pi_n."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    _check_atoms(f, frozenset(extra))
-    return _in(f, side, n, {})
-
-
-def _level_cap(f: Formula) -> int:
-    # each level increment crosses a quantifier or an implication antecedent,
-    # so node-count + 1 bounds the minimal level
-    return 1 + sum(1 for _ in subformulas(f))
+    sigma, pi = _levels(f, extra)
+    return (sigma if side is Side.SIGMA else pi) <= n
 
 
 def classify(f: Formula,
              extra: frozenset[str] = frozenset()) -> tuple[LevelResult, LevelResult]:
     """Minimal Sigma and Pi levels of f."""
-    _check_atoms(f, frozenset(extra))
-    cap = _level_cap(f)
-    memo: dict = {}
-    sigma = next(n for n in range(cap + 1) if _in(f, Side.SIGMA, n, memo))
-    pi = next(n for n in range(cap + 1) if _in(f, Side.PI, n, memo))
+    sigma, pi = _levels(f, extra)
     return LevelResult(Side.SIGMA, sigma), LevelResult(Side.PI, pi)

@@ -1,11 +1,11 @@
 """Finite formal topologies and the complete Heyting algebras they present.
 
 A formal topology here is a finite carrier with a preorder and an explicit
-cover table listing, for every token a and every subset p of the carrier,
-whether a is covered by p.  The frame of the topology consists of the
-stable lower subsets; meets are intersections, joins are saturations of
-unions, and Heyting implication is computed by joining the principal
-saturations that land under the right-hand side.
+cover table listing the pairs (a, p) of a token and a subset of the carrier
+such that a is covered by p; every other pair is uncovered.  The frame of
+the topology consists of the stable lower subsets; meets are intersections,
+joins are saturations of unions, and Heyting implication is computed by
+joining the principal saturations that land under the right-hand side.
 
 Each topology carries one set of frame tables, built once, at
 construction, from its cover, over int masks of the carrier, bit i
@@ -14,10 +14,10 @@ carrier reads as its tokens on it), mask to frozenset, the saturation of
 every mask, the top and principal generator masks, and a Heyting
 implication memo filled as pairs are asked for.  Beside them sit the frame
 elements and ``top`` as frozensets.  The cover is read only at
-construction, so editing the dict afterwards changes nothing; build a new
-topology from an edited copy instead.  ``names.Interpreter`` computes on
-the masks; the public operations below take and return frozensets and
-convert at their boundary.
+construction, into a copy of its true rows, so editing the dict passed in
+changes nothing; build a new topology from an edited copy instead.
+``names.Interpreter`` computes on the masks; the public operations below
+take and return frozensets and convert at their boundary.
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ class FormalTopology:
         for (a, p) in self.cover:
             if a not in self.carrier or not p <= set(self.carrier):
                 raise TopologyError("cover row off the carrier")
+        # One form per cover relation: only the true rows are kept, so
+        # topologies with the same cover are equal however it was spelled.
+        object.__setattr__(self, "cover",
+                           {row: True for row, v in self.cover.items() if v})
         # Frame tables: not fields, so equality, hashing and repr are
         # unchanged.  Bit i of a mask stands for the i-th token.
         as_set = [frozenset(a for i, a in enumerate(self.carrier)
@@ -324,10 +328,6 @@ def parse_topology(text: str) -> FormalTopology:
     for a in carrier:
         order.add((a, a))
     cover = {(a, p): True for a, p in cover_rows}
-    for a in carrier:
-        for r in range(len(carrier) + 1):
-            for combo in itertools.combinations(carrier, r):
-                cover.setdefault((a, frozenset(combo)), False)
     return FormalTopology(carrier, frozenset(order), cover)
 
 
@@ -335,11 +335,9 @@ def render_topology(t: FormalTopology) -> str:
     lines = ["carrier: " + " ".join(t.carrier)]
     strict = [f"{a}<={b}" for a, b in sorted(t.order) if a != b]
     lines.append("order:" + ("" if not strict else " " + " ".join(strict)))
-    for (a, p), v in sorted(t.cover.items(),
-                            key=lambda kv: (kv[0][0], len(kv[0][1]),
-                                            sorted(kv[0][1]))):
-        if v:
-            lines.append(f"cover: {a} <| {{{','.join(sorted(p))}}}")
+    for a, p in sorted(t.cover, key=lambda row: (row[0], len(row[1]),
+                                                 sorted(row[1]))):
+        lines.append(f"cover: {a} <| {{{','.join(sorted(p))}}}")
     return "\n".join(lines) + "\n"
 
 

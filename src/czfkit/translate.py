@@ -83,7 +83,7 @@ def semantic_coincidence_check(f: Formula, env: dict | None,
     """Over the double-negation topology the classical reading of the
     translation must agree with forcing the formula itself with top value.
     Returns True when the two verdicts agree."""
-    if u.topology.carrier != _TWO.carrier or u.topology.cover != _TWO.cover:
+    if u.topology != _TWO:
         raise ValueError("coincidence holds over the double-negation "
                          "topology; pass a universe over it")
     it = Interpreter(u)

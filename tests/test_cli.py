@@ -81,6 +81,13 @@ def test_compile(capsys):
     assert run(["compile", "ex y. y in x1", "--arity", "1"]) == 2
 
 
+def test_compile_refuses_class_atoms(capsys):
+    assert run(["compile", "x1 in C", "--arity", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula contains a class atom over C\n"
+
+
 @pytest.mark.parametrize("formula", [
     "~" * 300 + "x1 = x1", "ex y in x1. " * 100 + "x1 = x1",
 ], ids=["300-negations", "100-quantifiers"])

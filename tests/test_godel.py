@@ -121,13 +121,16 @@ def test_compile_matches_oracle_sample():
         "x1 in x2 -> x2 in x1",
         "ex y in x1. y in x2", "all y in x1. y in x2",
         "ex y in x2. all z in y. z in x1",
+        "bigand [x1 = x1, ex y in x1. y = y, x1 in x2]",
+        "bigor [x1 in x2, x2 in x1, x1 = x2]",
     ]
     for text in formulas:
         f = parse(text)
         t = compile_bounded(f, 2)
         for a1, a2 in itertools.product(args_pool, repeat=2):
             assert eval_opterm(t, [a1, a2]) == comprehension(f, [a1, a2]), text
-    for text in ["x1 = {}", "{} in x1", "all y in x1. y = {}"]:
+    for text in ["x1 = {}", "{} in x1", "all y in x1. y = {}",
+                 "x1 = {{},{{}}}", "x1 in {{},{{}},{{{}}}}", "{{},{{}}} in x1"]:
         f = parse(text)
         t = compile_bounded(f, 1)
         for a1 in args_pool:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, Ex, Imp, Or, is_bounded,
-    parse, subformulas,
+    neg, parse, subformulas,
 )
 from czfkit.hierarchy import HierarchyError, Side, classify, in_level
 from test_properties import formulas
@@ -164,3 +164,88 @@ def test_one_recursion_matches_the_mirrored_reference(f):
     for side in Side:
         for n in range(4):
             assert in_level(f, side, n) == _REF[side](f, n, memo)
+
+
+# The memoized three-argument recursion and upward level search that the
+# one-pass fold replaced, kept as the reference for the levels it computes.
+_DUAL = {Side.SIGMA: Side.PI, Side.PI: Side.SIGMA}
+
+
+def _ref_in(f, side, n, memo):
+    key = (f, side, n)
+    if key in memo:
+        return memo[key]
+    if n == 0:
+        result = is_bounded(f)
+    elif _ref_in(f, _DUAL[side], n - 1, memo):
+        result = True
+    else:
+        match f:
+            case And(l, r) | Or(l, r):
+                result = (_ref_in(l, side, n, memo)
+                          and _ref_in(r, side, n, memo))
+            case BoundedAll(_, _, body) | BoundedEx(_, _, body):
+                result = _ref_in(body, side, n, memo)
+            case Ex(_, body) if side is Side.SIGMA:
+                result = _ref_in(body, side, n, memo)
+            case All(_, body) if side is Side.PI:
+                result = _ref_in(body, side, n, memo)
+            case Imp(l, r) if side is Side.PI:
+                result = (_ref_in(l, Side.SIGMA, n - 1, memo)
+                          and _ref_in(r, side, n, memo))
+            case _:
+                result = False
+    memo[key] = result
+    return result
+
+
+def _ref_levels(f, memo):
+    cap = 1 + sum(1 for _ in subformulas(f))
+    return tuple(next(n for n in range(cap + 1) if _ref_in(f, side, n, memo))
+                 for side in Side)
+
+
+def _assert_matches_reference(f, memo):
+    levels = _ref_levels(f, memo)
+    sigma, pi = classify(f)
+    assert (sigma.level, pi.level) == levels, f
+    for side, level in zip(Side, levels):
+        for n in range(level + 3):
+            assert in_level(f, side, n) == _ref_in(f, side, n, memo), (f, n)
+
+
+def test_fold_matches_reference_on_criterion_7_population():
+    corpus = bounded_formulas(2, 3, limit=150)
+    corpus += [Ex("z", f) for f in corpus[:40]]
+    corpus += [All("z", f) for f in corpus[:40]]
+    corpus += [neg(Ex("z", f)) for f in corpus[:20]]
+    memo = {}
+    for f in corpus:
+        _assert_matches_reference(f, memo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_fold_matches_reference_on_random_formulas(f):
+    if not any(isinstance(g, (BigAnd, BigOr)) for g in subformulas(f)):
+        _assert_matches_reference(f, {})
+
+
+def test_negated_exists_levels():
+    f = parse("ex x. x = x")
+    memo = {}
+    _assert_matches_reference(f, memo)
+    for n in range(1, 51):
+        f = neg(f)
+        sigma, pi = classify(f)
+        assert (sigma.level, pi.level) == (2 * n + 1, 2 * n)
+        _assert_matches_reference(f, memo)
+
+
+def test_deep_negations_without_recursion():
+    f = parse("ex x. x = x")
+    for _ in range(600):
+        f = neg(f)
+    sigma, pi = classify(f)
+    assert (sigma.level, pi.level) == (1201, 1200)
+    assert in_level(f, Side.PI, 1200) and not in_level(f, Side.PI, 1199)

@@ -124,11 +124,20 @@ def test_presentation():
 
 
 def test_parse_render_round_trip():
-    for t in [omega(), chain2(), antichain2()]:
+    for t in [chain2(), antichain2(), *reference_topologies()]:
         again = parse_topology(render_topology(t))
         assert again.carrier == t.carrier
         assert again.order == t.order
         assert again.cover == t.cover
+        assert again == t
+
+
+def test_sparse_cover_is_the_same_topology():
+    zero = frozenset(["0"])
+    sparse = FormalTopology(("0",), frozenset({("0", "0")}),
+                            {("0", zero): True})
+    assert sparse == omega()
+    assert sparse.cover == omega().cover == {("0", zero): True}
 
 
 def test_parse_topology_errors():
@@ -284,3 +293,23 @@ def test_edited_cover_gets_its_own_tables():
     assert top(t) == zero
     assert frame_elements(t) == [frozenset(), zero]
     assert implies(t, zero, frozenset()) == frozenset()
+
+
+def _mutated_chain3(order_drop=(), cover_flip=()):
+    t = from_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    cover = dict(t.cover)
+    for a, p in cover_flip:
+        cover[(a, frozenset(p))] = not t.covers(a, frozenset(p))
+    return FormalTopology(t.carrier, t.order - set(order_drop), cover)
+
+
+@pytest.mark.parametrize("axiom, mutated", [
+    ("order-reflexive", _mutated_chain3(order_drop=[("a", "a")])),
+    ("order-transitive", _mutated_chain3(order_drop=[("a", "c")])),
+    ("order-compat", _mutated_chain3(cover_flip=[("a", "b")])),
+    ("transitivity", _mutated_chain3(cover_flip=[("c", "ab")])),
+    ("stability", _mutated_chain3(cover_flip=[("c", "b")])),
+])
+def test_validate_reports_each_axiom(axiom, mutated):
+    # a mutation may break a second axiom too, so only membership is checked
+    assert axiom in {v.axiom for v in validate(mutated)}

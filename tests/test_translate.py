@@ -1,16 +1,19 @@
+import itertools
+
 import pytest
 
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
-    And, Ex, Falsum, Imp, Or, free_vars, neg, parse, render, subformulas,
+    All, And, Ex, Falsum, Imp, Or, free_vars, neg, parse, render, subformulas,
 )
-from czfkit.names import Interpreter, check_name, name_universe
+from czfkit.names import Interpreter, Name, check_name, name_universe
 from czfkit.prover import Logic, Outcome, prove_formula
 from czfkit.translate import (
     dn_translate, semantic_coincidence_check, semantic_translate,
 )
-from czfkit.topology import FormalTopology, from_poset, omega, validate
-from czfkit import hf
+from czfkit.topology import FormalTopology, from_poset, omega, top, validate
+from czfkit.semantics import satisfies
+from czfkit import hf, unique
 
 
 def gg(text):
@@ -104,6 +107,46 @@ def test_coincidence_requires_dn_topology():
     with pytest.raises(ValueError):
         semantic_coincidence_check(parse("x = x"),
                                    {"x": chain.names[0]}, chain)
+
+
+def test_coincidence_accepts_omega_spelled_sparsely():
+    sparse = FormalTopology(("0",), frozenset({("0", "0")}),
+                            {("0", frozenset({"0"})): True})
+    u = name_universe(sparse, 1)
+    for n in u.names:
+        assert semantic_coincidence_check(parse("x = x"), {"x": n}, u)
+
+
+def _denotation(n):
+    """The HF set an omega name stands for: the denotations of its keys
+    of top weight."""
+    full = top(omega())
+    return unique.fold(n, Name.keys, lambda m, members: hf.HFSet(
+        x for x, (_, p) in zip(members, m.entries) if p == full))
+
+
+def test_semantic_translate_is_satisfaction_of_the_denotations():
+    """An oracle independent of the forcing interpreter: over omega, the
+    classical reading of a formula is its truth in the HF sets the names
+    denote, quantifiers ranging over the universe's denotations.  Run on
+    the population of acceptance criterion 10."""
+    u = name_universe(omega(), 2)
+    universe = hf.HFSet(_denotation(n) for n in u.names)
+    samples = name_universe(omega(), 1).names
+    corpus = bounded_formulas(2, 2, limit=60)
+    quantified = [Ex("z", f) for f in corpus[:10]]
+    quantified += [All("z", f) for f in corpus[:10]]
+    it = Interpreter(u)
+    checks = 0
+    for f in corpus + quantified:
+        fv = sorted(free_vars(f))
+        for combo in itertools.product(samples, repeat=len(fv)):
+            env = dict(zip(fv, combo))
+            denoted = {v: _denotation(n) for v, n in env.items()}
+            assert (semantic_translate(f, env, it)
+                    == satisfies(universe, f, denoted)), (f, env)
+            checks += 1
+    assert checks == 458
 
 
 def test_semantic_mode_reads_connectives_classically_in_the_trivial_frame():

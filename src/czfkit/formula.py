@@ -645,12 +645,13 @@ def relativize(f: Formula, bound: Term | str) -> Formula:
 
 def is_bounded(f: Formula) -> bool:
     """True iff f has no unbounded quantifier."""
-    return not any(isinstance(g, _Quantifier) for g in subformulas(f))
+    return not any(isinstance(g, _Quantifier)
+                   for g in distinct_subformulas(f))
 
 
 def class_ids(f: Formula) -> set[str]:
     """The class symbols f mentions."""
-    return {g.cls for g in subformulas(f) if isinstance(g, ClassMem)}
+    return {g.cls for g in distinct_subformulas(f) if isinstance(g, ClassMem)}
 
 
 def subformulas(f: Formula):
@@ -661,6 +662,21 @@ def subformulas(f: Formula):
         g = stack.pop()
         yield g
         stack.extend(reversed(g._subs()))
+
+
+def distinct_subformulas(f: Formula):
+    """The subformulas of f in the order of ``subformulas``, each distinct
+    node only at its first occurrence.  A repeated node's subtree was
+    walked at that occurrence and is not walked again, so the cost grows
+    with the distinct nodes, not the tree."""
+    seen = set()
+    stack = [_checked(f)]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            yield g
+            stack.extend(reversed(g._subs()))
 
 
 def alpha_canonical(f: Formula) -> Formula:

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 
 from . import unique
-from .formula import All, BigAnd, BigOr, ClassMem, Ex, Formula, Imp, subformulas
+from .formula import (
+    All, BigAnd, BigOr, ClassMem, Ex, Formula, Imp, distinct_subformulas,
+)
 
 
 class Side(enum.Enum):
@@ -37,7 +39,7 @@ class HierarchyError(ValueError):
 
 
 def _check_atoms(f: Formula, extra: frozenset[str]):
-    for g in subformulas(f):
+    for g in distinct_subformulas(f):
         if isinstance(g, (BigAnd, BigOr)):
             raise HierarchyError("hierarchy is defined for finitary formulas only")
         if isinstance(g, ClassMem) and g.cls not in extra:

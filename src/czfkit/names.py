@@ -10,7 +10,10 @@ when the name is new from its keys' stored serializations.  Interpretation
 follows the usual recursion: equality unfolds to mutual inclusion weighted
 by membership degrees, membership to a weighted join over the candidate's
 entries, and quantifiers range over a finite universe of names built up to
-a fixed depth.
+a fixed depth.  Connectives and quantifiers stop once their value is
+settled: a meet once it is empty, a join once it reaches top.  So that a
+skipped operand hides no error, ``Interpreter.value`` checks every binding
+the formula needs before it evaluates anything.
 
 Masks inside, frozensets at the API: names keep their weights as
 frozensets, and every public function takes and returns frame elements as
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from . import topology as tp, unique
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term, Var,
+    QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Term, distinct_subformulas,
 )
 from .hf import BudgetExceeded, HFSet, _skip_ws
 from .topology import FormalTopology, FrameElement
@@ -195,10 +198,17 @@ class Interpreter:
     converted to masks once per interpreter; a weight reads as its tokens
     on the carrier, as every weight is met with a set on the carrier.
 
-    ``value`` dispatches on the formula's class through ``_STEPS``, one
-    step function per node kind; a step calls its children's steps
-    directly, so each formula level takes one frame.  A quantifier copies
-    the environment once and rebinds its variable in place.
+    ``value`` first checks that every free variable of the formula is
+    bound to a name and every class symbol to a class name, and raises a
+    ValueError if not.  It then dispatches on the formula's
+    class through ``_STEPS``, one step function per node kind; a step calls
+    its children's steps directly, so each formula level takes one frame.
+    A quantifier copies the environment once and rebinds its variable in
+    place.  A step stops once its value is settled: a conjunction, big
+    conjunction or universal at the empty mask, a disjunction, big
+    disjunction or existential once its join reaches top, an implication
+    with an empty antecedent without its consequent, and a bounded
+    quantifier skips the entries of empty weight.
 
     Equality and membership values, in a name or a class name, are memoized;
     the recursion is well founded because entries of a name are strictly
@@ -226,20 +236,15 @@ class Interpreter:
         return pair
 
     def term_name(self, term: Term, env: dict) -> Name:
+        """The name a term denotes; a variable's is its binding in env,
+        which ``value`` has checked to be a name."""
         if isinstance(term, Lit):
             name = self._check.get(term.value)
             if name is None:
                 name = check_name(term.value, self.t)
                 self._check[term.value] = name
             return name
-        try:
-            val = env[term.name]
-        except KeyError:
-            raise ValueError(f"unassigned variable {term.name}") from None
-        if not isinstance(val, Name):
-            raise ValueError(f"{term.name} is bound to a class name; class "
-                             "names cannot appear in term position here")
-        return val
+        return env[term.name]
 
     def eq(self, a: Name, b: Name) -> FrameElement:
         return self.t._as_set[self._eq(a, b)]
@@ -251,7 +256,10 @@ class Interpreter:
         return self.t._as_set[self._mem(a, cls)]
 
     def value(self, f: Formula, env: dict | None = None) -> FrameElement:
-        return self.t._as_set[_STEPS[type(f)](self, f, env or {})]
+        env = env or {}
+        step = _STEPS[type(f)]
+        _check_bindings(f, env)
+        return self.t._as_set[step(self, f, env)]
 
     # -- on masks ------------------------------------------------------------
 
@@ -314,7 +322,38 @@ class Interpreter:
 # -- value, one step function per formula node ------------------------------
 #
 # Each step takes the interpreter, the node and the environment and returns
-# a mask.  It calls its children's steps itself, through _STEPS.
+# a mask.  It calls its children's steps itself, through _STEPS, and stops
+# once its value is settled.  A join stops at top because every value lies
+# below top, as in Interpreter._weighted_join.
+
+
+def _check_bindings(f: Formula, env: dict) -> None:
+    """A ValueError when a free variable of f is unassigned or not bound to
+    a name, or a class symbol of f is not bound to a class name.  Checked
+    before evaluation, so an operand the steps skip hides no such error.
+    A class symbol that a quantifier of f binds as a variable counts as
+    unbound, as the quantifier may rebind it to a name."""
+    for v in sorted(f._fv):
+        if v not in env:
+            raise ValueError(f"unassigned variable {v}")
+        if not isinstance(env[v], Name):
+            raise ValueError(f"{v} is bound to a class name; class names "
+                             "cannot appear in term position here")
+    classes, binders = set(), set()
+    for g in distinct_subformulas(f):
+        if isinstance(g, ClassMem):
+            classes.add(g.cls)
+        elif isinstance(g, QUANTIFIERS):
+            binders.add(g.var)
+    for cls in sorted(classes):
+        _class_name({} if cls in binders else env, cls)
+
+
+def _class_name(env: dict, cls: str) -> ClassName:
+    binding = env.get(cls)
+    if not isinstance(binding, ClassName):
+        raise ValueError(f"class symbol {cls} is not bound to a class name")
+    return binding
 
 
 def _falsum(it, f, env):
@@ -330,42 +369,50 @@ def _mem_atom(it, f, env):
 
 
 def _class_mem_atom(it, f, env):
-    binding = env.get(f.cls)
-    if not isinstance(binding, ClassName):
-        raise ValueError(f"class symbol {f.cls} is not bound to a class name")
-    return it._mem(it.term_name(f.element, env), binding)
+    return it._mem(it.term_name(f.element, env), _class_name(env, f.cls))
 
 
 def _and(it, f, env):
     left, right = f.left, f.right
-    return (_STEPS[type(left)](it, left, env)
-            & _STEPS[type(right)](it, right, env))
+    p = _STEPS[type(left)](it, left, env)
+    return p and p & _STEPS[type(right)](it, right, env)
 
 
 def _or(it, f, env):
     left, right = f.left, f.right
-    return it.t._mask_nuclei[_STEPS[type(left)](it, left, env)
-                             | _STEPS[type(right)](it, right, env)]
+    t = it.t
+    p = _STEPS[type(left)](it, left, env)
+    if p == t._top_mask:
+        return p
+    return t._mask_nuclei[p | _STEPS[type(right)](it, right, env)]
 
 
 def _imp(it, f, env):
     left, right = f.left, f.right
     p = _STEPS[type(left)](it, left, env)
-    return tp._implies_mask(it.t, p, _STEPS[type(right)](it, right, env))
+    # for an empty p, p -> q is the same whatever q is
+    q = _STEPS[type(right)](it, right, env) if p else 0
+    return tp._implies_mask(it.t, p, q)
 
 
 def _big_and(it, f, env):
     acc = it.t._top_mask
     for part in f.parts:
         acc &= _STEPS[type(part)](it, part, env)
+        if not acc:
+            break
     return acc
 
 
 def _big_or(it, f, env):
+    t = it.t
+    top = t._top_mask
     acc = 0
     for part in f.parts:
         acc |= _STEPS[type(part)](it, part, env)
-    return it.t._mask_nuclei[acc]
+        if acc == top:
+            break
+    return t._mask_nuclei[acc]
 
 
 def _bounded_all(it, f, env):
@@ -375,21 +422,28 @@ def _bounded_all(it, f, env):
     env = dict(env)
     acc = t._top_mask
     for x, p in entries:
-        env[v] = x
-        acc &= tp._implies_mask(t, p, step(it, body, env))
+        if p:  # an empty p makes p -> q top
+            env[v] = x
+            acc &= tp._implies_mask(t, p, step(it, body, env))
+            if not acc:
+                break
     return acc
 
 
 def _bounded_ex(it, f, env):
     entries = it._bound_entries(f.bound, env)
-    v, body = f.var, f.body
+    t, v, body = it.t, f.var, f.body
     step = _STEPS[type(body)]
     env = dict(env)
+    top = t._top_mask
     acc = 0
     for x, p in entries:
-        env[v] = x
-        acc |= p & step(it, body, env)
-    return it.t._mask_nuclei[acc]
+        if p:  # an empty p makes p meet q empty
+            env[v] = x
+            acc |= p & step(it, body, env)
+            if acc == top:
+                break
+    return t._mask_nuclei[acc]
 
 
 def _all(it, f, env):
@@ -400,18 +454,24 @@ def _all(it, f, env):
     for n in it.u.names:
         env[v] = n
         acc &= step(it, body, env)
+        if not acc:
+            break
     return acc
 
 
 def _ex(it, f, env):
     v, body = f.var, f.body
+    t = it.t
     step = _STEPS[type(body)]
     env = dict(env)
+    top = t._top_mask
     acc = 0
     for n in it.u.names:
         env[v] = n
         acc |= step(it, body, env)
-    return it.t._mask_nuclei[acc]
+        if acc == top:
+            break
+    return t._mask_nuclei[acc]
 
 
 class _Steps(dict):

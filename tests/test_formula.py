@@ -2,6 +2,7 @@ import copy
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 
@@ -10,8 +11,8 @@ from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
     FormulaSyntaxError, Imp, Lit, Mem, Or, Var, _FormulaNode, alpha_canonical,
-    alpha_eq, class_ids, free_vars, is_bounded, neg, parse, relativize,
-    render, subformulas, substitute,
+    alpha_eq, class_ids, distinct_subformulas, free_vars, is_bounded, neg,
+    parse, relativize, render, subformulas, substitute,
 )
 
 
@@ -388,6 +389,48 @@ def test_subformulas_is_preorder():
         "y = y", "~(ex z. z in x)", "ex z. z in x", "z in x", "false"]
     with pytest.raises(TypeError):
         list(subformulas(Var("x")))
+
+
+def walk_corpus():
+    """Bounded formulas, and each of them under an unbounded quantifier, a
+    class guard, a big conjunction, and conjoined with itself beside a class
+    atom, so that nodes repeat."""
+    corpus = bounded_formulas(1, 3, 250) + bounded_formulas(2, 2, 120)
+    guard = ClassMem(Var("x1"), "C")
+    return corpus + [g for f in corpus for g in (
+        Ex("z", f), All("z", Imp(guard, f)), BigAnd((f, guard)),
+        And(f, Or(f, ClassMem(Var("x1"), "D"))))]
+
+
+def test_distinct_subformulas_is_subformulas_without_repeats():
+    assert list(distinct_subformulas(parse("x = x & x = x"))) == [
+        parse("x = x & x = x"), parse("x = x")]
+    for f in walk_corpus():
+        subs = list(subformulas(f))
+        assert list(distinct_subformulas(f)) == list(dict.fromkeys(subs))
+        assert class_ids(f) == {g.cls for g in subs
+                                if isinstance(g, ClassMem)}
+        assert is_bounded(f) == \
+            (not any(isinstance(g, (All, Ex)) for g in subs))
+    with pytest.raises(TypeError):
+        list(distinct_subformulas(Var("x")))
+
+
+def self_conjunctions(h, n):
+    """h conjoined with itself n times over: n + 1 distinct nodes, a tree of
+    2^n copies of h."""
+    for _ in range(n):
+        h = And(h, h)
+    return h
+
+
+def test_walks_cost_the_distinct_nodes():
+    for call, h, want in [(class_ids, parse("ex x. x = x"), set()),
+                          (is_bounded, parse("x = x"), True)]:
+        f = self_conjunctions(h, 20)
+        started = time.perf_counter()
+        assert call(f) == want
+        assert time.perf_counter() - started < 0.5, call
 
 
 def _key(f):

@@ -1,12 +1,17 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
-    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, Ex, Imp, Or, is_bounded,
-    neg, parse, subformulas,
+    All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Ex, Imp, Or,
+    is_bounded, neg, parse, subformulas,
 )
-from czfkit.hierarchy import HierarchyError, Side, classify, in_level
+from czfkit.hierarchy import (
+    HierarchyError, Side, _check_atoms, classify, in_level,
+)
+from test_formula import self_conjunctions, walk_corpus
 from test_properties import formulas
 
 
@@ -249,3 +254,40 @@ def test_deep_negations_without_recursion():
     sigma, pi = classify(f)
     assert (sigma.level, pi.level) == (1201, 1200)
     assert in_level(f, Side.PI, 1200) and not in_level(f, Side.PI, 1199)
+
+
+def _check_atoms_reference(f, extra):
+    """The first error of a walk over every occurrence, or None."""
+    for g in subformulas(f):
+        if isinstance(g, (BigAnd, BigOr)):
+            return "hierarchy is defined for finitary formulas only"
+        if isinstance(g, ClassMem) and g.cls not in extra:
+            return (f"class atom over undeclared symbol {g.cls}; "
+                    "pass it in extra")
+    return None
+
+
+def test_check_atoms_matches_the_walk_over_every_occurrence():
+    seen = set()
+    for f in walk_corpus():
+        for extra in (frozenset(), frozenset({"C"}), frozenset({"C", "D"})):
+            want = _check_atoms_reference(f, extra)
+            seen.add(want)
+            if want is None:
+                _check_atoms(f, extra)
+            else:
+                with pytest.raises(HierarchyError) as e:
+                    _check_atoms(f, extra)
+                assert str(e.value) == want
+    assert len(seen) == 4  # no error, a big connective, C and D undeclared
+
+
+def test_check_atoms_and_classify_cost_the_distinct_nodes():
+    f = self_conjunctions(parse("ex x. x = x"), 20)
+    started = time.perf_counter()
+    _check_atoms(f, frozenset())
+    assert time.perf_counter() - started < 0.5
+    started = time.perf_counter()
+    sigma, pi = classify(f)
+    assert time.perf_counter() - started < 0.5
+    assert (sigma.level, pi.level) == (1, 2)

@@ -12,7 +12,7 @@ import pytest
 from czfkit import hf, names, topology as tp
 from czfkit.formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Imp, Lit, Mem, Or, neg, parse,
+    Imp, Lit, Mem, Or, Var, neg, parse,
 )
 from czfkit.hf import EMPTY, hfset
 from czfkit.names import (
@@ -976,3 +976,124 @@ def test_value_reaches_900_nested_negations():
     for _ in range(900):
         f = neg(f)
     assert Interpreter(u_omega(1)).value(f, {"x": EMPTY_NAME}) == TOP
+
+
+# -- settled values ------------------------------------------------------------
+
+# one token covered by the empty set: bottom is top
+TRIVIAL = tp.FormalTopology(
+    ("a",), frozenset({("a", "a")}),
+    {("a", frozenset()): True, ("a", frozenset({"a"})): True})
+
+# each decided by its first operand, its first name or its first entry on
+# some names; P and Q are operands a settled step skips
+P = "(ex z. z in x1 & ~(z = z))"
+Q = "x1 in M"
+SETTLED = [
+    f"x1 = x1 | {P}", f"false & {Q}", f"false -> {P}", f"~(x1 = x1) -> {Q}",
+    "ex z. z = z", "all z. false", "all z. ~(z = z)", f"ex z. (z = z | {Q})",
+    f"bigand [false, {P}]", f"bigor [x1 = x1, {Q}]",
+    f"all y in x1. (false & {Q})", f"ex y in x1. (y = y | {P})",
+    "all y in x1. y in y", "ex y in x1. ~(y in y)", "all y in x1. false",
+    "ex y in x1. x1 = x1",
+]
+
+
+@pytest.mark.parametrize("key", ["omega", "chain", "antichain", "trivial"])
+def test_settled_values_match_the_frozenset_interpreter(key):
+    """On the odd-weight names, whose entries have weights off the frame
+    and off the carrier, and on the trivial frame, where bottom is top."""
+    if key == "trivial":
+        t, odd = TRIVIAL, [make_name([(EMPTY_NAME, {"zz"})])]
+        assert tp.bottom(t) == tp.top(t)
+    else:
+        t, tokens = ODD_WEIGHTS[key]
+        odd = _odd_names(t, tokens)
+    u = name_universe(t, 1)
+    cls = make_class_name((x, p) for x, p in zip(odd, itertools.cycle(
+        [frozenset(), *frame_elements(t)])))
+    formulas = [parse(s) for s in SETTLED]
+    ref, it = _FrozensetInterpreter(u), Interpreter(u)
+    for x1 in list(u.names) + odd:
+        env = {"x1": x1, "M": cls}
+        for f in formulas:
+            assert it.value(f, env) == ref.value(f, env), (f, x1)
+            if t is OMEGA:
+                assert semantic_translate(f, env, it) == \
+                    (_FrozensetRounded(ref).value(f, env) == TOP), (f, x1)
+
+
+def _count_eq_atoms(monkeypatch):
+    """Records the environment of every equality atom value evaluates."""
+    calls, step = [], names._STEPS[Eq]
+
+    def counting(it, f, env):
+        calls.append(dict(env))
+        return step(it, f, env)
+
+    monkeypatch.setitem(names._STEPS, Eq, counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, want", [
+    ("ex z. z = z", tp.top), ("all z. ~(z = z)", tp.bottom),
+])
+def test_a_settled_quantifier_evaluates_its_body_once(monkeypatch, text,
+                                                       want):
+    calls = _count_eq_atoms(monkeypatch)
+    u = name_universe(CHAIN, 2)
+    assert len(u.names) > 1
+    assert Interpreter(u).value(parse(text)) == want(CHAIN)
+    assert calls == [{"z": u.names[0]}]
+
+
+def test_settled_steps_skip_their_other_operands(monkeypatch):
+    calls = _count_eq_atoms(monkeypatch)
+    u = name_universe(CHAIN, 1)
+    one = check_name(ONE, CHAIN)
+    it = Interpreter(u)
+    for text in ["false & x1 = x1", "false -> x1 = x1", "x1 in x1 & x1 = x1",
+                 "bigand [false, x1 = x1]", "all y in x1. (x1 = x1)"]:
+        assert it.value(parse(text), {"x1": EMPTY_NAME}) in (
+            tp.top(CHAIN), tp.bottom(CHAIN))
+    assert calls == []
+    for text in ["x1 = x1 | ex z. z = x1", "bigor [x1 = x1, x1 = x1]",
+                 "ex y in x1. (y = y | x1 = x1)"]:
+        calls.clear()
+        assert it.value(parse(text), {"x1": one}) == tp.top(CHAIN)
+        assert len(calls) == 1, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("false & y = y", "unassigned variable y"),
+    ("x = x | y in x", "unassigned variable y"),
+    ("false -> y = y", "unassigned variable y"),
+    ("bigand [false, x in y]", "unassigned variable y"),
+    ("bigor [x = x, y = y]", "unassigned variable y"),
+    ("ex z. (z = z | z in y)", "unassigned variable y"),
+    ("all z in x. y = y", "unassigned variable y"),
+    ("ex z in y. false", "unassigned variable y"),
+    ("false & c = x", "c is bound to a class name"),
+    ("x = x | x in M", "class symbol M is not bound to a class name"),
+    ("x = x | x in N", "class symbol N is not bound to a class name"),
+])
+def test_a_skipped_operand_still_raises(text, message):
+    u = u_omega(1)
+    env = {"x": EMPTY_NAME, "c": make_class_name([]), "N": EMPTY_NAME}
+    it = Interpreter(u)
+    for evaluate in (it.value, lambda f, env: semantic_translate(f, env, it)):
+        with pytest.raises(ValueError) as e:
+            evaluate(parse(text), env)
+        assert str(e.value).startswith(message)
+    with pytest.raises(TypeError, match="not a formula: a Var object"):
+        it.value(Var("x"), env)
+
+
+def test_a_class_symbol_a_quantifier_rebinds_is_refused():
+    """Formulas no parser makes: the binder M rebinds the class symbol M to
+    a name, skipped operand or not."""
+    env = {"x": EMPTY_NAME, "M": make_class_name([])}
+    atom = ClassMem(Var("x"), "M")
+    for f in (Ex("M", atom), Ex("M", And(Falsum(), atom))):
+        with pytest.raises(ValueError, match="class symbol M is not bound"):
+            Interpreter(u_omega(1)).value(f, env)

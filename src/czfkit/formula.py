@@ -5,11 +5,12 @@ finite big conjunctions/disjunctions, and bounded/unbounded quantifiers.
 Negation is sugar: ``~p`` parses to ``p -> false``.  Biconditional ``<->``
 is sugar for the conjunction of both implications.
 
-Every transformer is one traversal: a node's ``_subs()`` are its formula
-children and ``_rebuild(subs)`` is the node of the same kind and other
-fields over new ones.  A transformer writes only the cases it changes and
-passes the rest through ``g._rebuild([go(c) for c in g._subs()])``;
-``subformulas`` walks the same children with an explicit stack.
+Every transformer is one traversal: ``g._map(term, go, var)`` is g's kind
+with ``term`` applied to its terms, ``go`` to its formula children and, for
+a quantifier, ``var`` (when not None) as its binder.  A transformer writes
+only the cases it changes and passes the rest through ``g._map(term, go)``;
+``subformulas`` walks the ``_subs()`` children with an explicit stack, and
+``unbounded`` reads a bounded quantifier as a guarded unbounded one.
 
 Terms and formula nodes are hash-consed like ``HFSet`` and ``Name``: a
 module-level weak unique table maps each node's class and fields to its one
@@ -126,9 +127,9 @@ Term = Var | Lit
 class _FormulaNode(_Node):
     """A formula node.  ``_PREC`` is the highest operand level at which its
     text needs no parentheses (0 formula, 1 or, 2 and, 3 unary/atom);
-    ``_subs`` are its formula children, ``_rebuild(subs)`` is the node of
-    the same kind and other fields over new children, and ``_bare`` builds
-    its text from their stored text."""
+    ``_subs`` are its formula children, ``_map`` is described in the
+    module docstring, and ``_bare`` builds its text from the children's
+    stored text."""
 
     __slots__ = ()
     _PREC = 3
@@ -136,7 +137,7 @@ class _FormulaNode(_Node):
     def _subs(self) -> tuple:
         return ()
 
-    def _rebuild(self, subs) -> "Formula":
+    def _map(self, term, go, var=None) -> "Formula":
         return self
 
 
@@ -176,6 +177,9 @@ class _TermAtom(_Binary):
 
     __slots__ = ()
 
+    def _map(self, term, go, var=None) -> "Formula":
+        return type(self)(term(self.left), term(self.right))
+
     def _bare(self) -> str:
         return self.left._text + self._OP + self.right._text
 
@@ -204,6 +208,9 @@ class ClassMem(_FormulaNode):
         _set(node, "cls", cls)
         return _enter(key, node, element._fv)
 
+    def _map(self, term, go, var=None) -> "Formula":
+        return ClassMem(term(self.element), self.cls)
+
     def _bare(self) -> str:
         return f"{self.element._text} in {self.cls}"
 
@@ -223,8 +230,8 @@ class _Connective(_Binary):
     def _subs(self) -> tuple:
         return self.left, self.right
 
-    def _rebuild(self, subs) -> "Formula":
-        return type(self)(*subs)
+    def _map(self, term, go, var=None) -> "Formula":
+        return type(self)(go(self.left), go(self.right))
 
     def _bare(self) -> str:
         left_level, right_level = self._LEVELS
@@ -276,8 +283,8 @@ class _BigConnective(_FormulaNode):
     def _subs(self) -> tuple:
         return self.parts
 
-    def _rebuild(self, subs) -> "Formula":
-        return type(self)(tuple(subs))
+    def _map(self, term, go, var=None) -> "Formula":
+        return type(self)(tuple(map(go, self.parts)))
 
     def _bare(self) -> str:
         return self._WORD + " [" + ", ".join(p._text for p in self.parts) + "]"
@@ -314,8 +321,8 @@ class _BoundedQuantifier(_FormulaNode):
     def _subs(self) -> tuple:
         return (self.body,)
 
-    def _rebuild(self, subs) -> "Formula":
-        return type(self)(self.var, self.bound, subs[0])
+    def _map(self, term, go, var=None) -> "Formula":
+        return type(self)(var or self.var, term(self.bound), go(self.body))
 
     def _bare(self) -> str:
         return (f"{self._WORD} {self.var} in {self.bound._text}. "
@@ -352,8 +359,8 @@ class _Quantifier(_FormulaNode):
     def _subs(self) -> tuple:
         return (self.body,)
 
-    def _rebuild(self, subs) -> "Formula":
-        return type(self)(self.var, subs[0])
+    def _map(self, term, go, var=None) -> "Formula":
+        return type(self)(var or self.var, go(self.body))
 
     def _bare(self) -> str:
         return f"{self._WORD} {self.var}. {self.body._text}"
@@ -570,43 +577,53 @@ def _fresh(base: str, avoid: set[str] | frozenset[str]) -> str:
     return cand
 
 
-def _subst_term(t: Term, v: str, r: Term) -> Term:
-    return r if isinstance(t, Var) and t.name == v else t
+def _same(x):
+    return x
 
 
 def _rename_binder(q: Formula, avoid: frozenset[str]) -> Formula:
     """The quantifier q with its variable renamed to a fresh one, free
     neither in q's body nor in avoid."""
     new = _fresh(q.var, q.body._fv | avoid)
-    body = substitute(q.body, q.var, Var(new))
-    if isinstance(q, _BoundedQuantifier):
-        return type(q)(new, q.bound, body)
-    return type(q)(new, body)
+    return q._map(_same, lambda body: substitute(body, q.var, Var(new)), new)
 
 
 def substitute(f: Formula, v: str, t: Term) -> Formula:
     """Capture-avoiding substitution of term t for free occurrences of v.
     A formula in which v is not free is returned as it is."""
+    old = Var(v)
+
+    def term(s: Term) -> Term:
+        return t if s is old else s
 
     def go(g):
         if v not in g._fv:
             return g
-        if isinstance(g, _TermAtom):
-            return type(g)(_subst_term(g.left, v, t),
-                           _subst_term(g.right, v, t))
-        if isinstance(g, ClassMem):  # v is free, so the element is Var(v)
-            return ClassMem(t, g.cls)
-        if isinstance(g, _BoundedQuantifier) and g.var == v:
-            # v is free in the bound only
-            return type(g)(v, _subst_term(g.bound, v, t), g.body)
         if isinstance(g, QUANTIFIERS):
+            if g.var == v:  # v is free in the bound only
+                return g._map(term, _same)
             if g.var in t._fv and v in g.body._fv:
                 g = _rename_binder(g, t._fv | {v})
-            if isinstance(g, _BoundedQuantifier):
-                return type(g)(g.var, _subst_term(g.bound, v, t), go(g.body))
-        return g._rebuild([go(c) for c in g._subs()])
+        return g._map(term, go)
 
     return go(_checked(f))
+
+
+def _guarded(universal: bool, v: str, guard: Formula,
+             body: Formula) -> Formula:
+    """``all v. (guard -> body)`` or ``ex v. (guard & body)``."""
+    return All(v, Imp(guard, body)) if universal else Ex(v, And(guard, body))
+
+
+def unbounded(q: Formula) -> Formula:
+    """The bounded quantifier q read as a guarded unbounded one:
+    ``all v. (v in b -> body)`` or ``ex v. (v in b & body)``.  A binder that
+    occurs in its own bound is renamed first, so the guard does not capture
+    it."""
+    if q.var in q.bound._fv:
+        q = _rename_binder(q, q.bound._fv)
+    return _guarded(isinstance(q, BoundedAll), q.var, Mem(Var(q.var), q.bound),
+                    q.body)
 
 
 # -- relativization and boundedness ----------------------------------------
@@ -626,17 +643,15 @@ def relativize(f: Formula, bound: Term | str) -> Formula:
 
     def go(g: Formula) -> Formula:
         if not isinstance(g, QUANTIFIERS):
-            return g._rebuild([go(c) for c in g._subs()])
+            return g._map(_same, go)
         if g.var in avoid and not is_bounded(g.body):
             g = _rename_binder(g, avoid)
-        v, body = g.var, go(g.body)
         if isinstance(g, _BoundedQuantifier):
-            return type(g)(v, g.bound, body)
+            return g._map(_same, go)
+        v, body = g.var, go(g.body)
         if by_class:
             guard = ClassMem(Var(v), bound)
-            if isinstance(g, All):
-                return All(v, Imp(guard, body))
-            return Ex(v, And(guard, body))
+            return _guarded(isinstance(g, All), v, guard, body)
         quantifier = BoundedAll if isinstance(g, All) else BoundedEx
         return quantifier(v, bound, body)
 
@@ -689,19 +704,13 @@ def alpha_canonical(f: Formula) -> Formula:
                 return Var(ren[t.name])
             return t
 
-        if isinstance(g, _TermAtom):
-            return type(g)(term(g.left), term(g.right))
-        if isinstance(g, ClassMem):
-            return ClassMem(term(g.element), g.cls)
+        nv, inner = None, ren
         if isinstance(g, QUANTIFIERS):
             nv = f"v{depth}"
             if nv in f._fv:
                 nv = _fresh(nv, f._fv)
-            body = go(g.body, depth + 1, {**ren, g.var: nv})
-            if isinstance(g, _BoundedQuantifier):
-                return type(g)(nv, term(g.bound), body)
-            return type(g)(nv, body)
-        return g._rebuild([go(c, depth, ren) for c in g._subs()])
+            depth, inner = depth + 1, {**ren, g.var: nv}
+        return g._map(term, lambda c: go(c, depth, inner), nv)
 
     return go(_checked(f), 0, {})
 

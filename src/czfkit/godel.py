@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import hf, unique
 from .formula import (
     And, BigAnd, BigOr, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit,
-    Mem, Or, Term, Var, _rename_binder, class_ids, free_vars, is_bounded,
+    Mem, Or, Term, Var, class_ids, free_vars, is_bounded, unbounded,
 )
 from .hf import EMPTY, HFSet, BudgetExceeded
 
@@ -498,18 +498,12 @@ class _Compiler:
                     acc = _bunion(acc, self.compile(part, slots, ctx))
                 return acc
             case BoundedEx(v, b, body) | BoundedAll(v, b, body):
-                if v in b._fv:
-                    # the guard is built in v's scope, which would capture b
-                    f = _rename_binder(f, b._fv)
-                    v, body = f.var, f.body
                 if isinstance(b, Lit):
-                    slot = self.literal(b.value)
-                    inner = body
+                    slot, inner = self.literal(b.value), body
                 else:
                     slot = _app("cup", slots[ctx[b.name] - 1])
-                    guard = Mem(Var(v), b)
-                    inner = And(guard, body) if isinstance(f, BoundedEx) \
-                        else Imp(guard, body)
+                    guarded = unbounded(f)
+                    v, inner = guarded.var, guarded.body
                 new_ctx = {**ctx, v: len(slots) + 1}
                 s = self.compile(inner, slots + [slot], new_ctx)
                 if isinstance(f, BoundedEx):

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .formula import (
-    QUANTIFIERS, All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq,
-    Ex, Falsum, Formula, Imp, Lit, Mem, Or, Term, Var, _checked,
-    _rename_binder, _text, class_ids, free_vars, render, subformulas,
-    substitute,
+    QUANTIFIERS, All, And, BigAnd, BigOr, ClassMem, Eq, Ex, Falsum, Formula,
+    Imp, Lit, Mem, Or, Term, Var, _BoundedQuantifier, _checked,
+    _rename_binder, _same, _text, alpha_eq, class_ids, render, subformulas,
+    substitute, unbounded,
 )
 
 
@@ -105,17 +105,11 @@ class ProveResult:
 
 
 def desugar(f: Formula) -> Formula:
-    """Bounded quantifiers become guarded unbounded quantifiers; a binder
-    that occurs in its own bound is renamed first, so the guard does not
-    capture it."""
-    if isinstance(f, (BoundedAll, BoundedEx)):
-        if f.var in f.bound._fv:
-            f = _rename_binder(f, f.bound._fv)
-        guard = Mem(Var(f.var), f.bound)
-        if isinstance(f, BoundedAll):
-            return All(f.var, Imp(guard, desugar(f.body)))
-        return Ex(f.var, And(guard, desugar(f.body)))
-    return _checked(f)._rebuild([desugar(c) for c in f._subs()])
+    """Bounded quantifiers become guarded unbounded quantifiers, as
+    ``formula.unbounded`` reads them."""
+    if isinstance(f, _BoundedQuantifier):
+        f = unbounded(f)
+    return _checked(f)._map(_same, desugar)
 
 
 def _minus(pool: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
@@ -393,18 +387,14 @@ class CheckReport:
 _HOLE = Var("_")
 
 
+def _hole(t: Term) -> Term:
+    return _HOLE
+
+
 def _skeleton(f: Formula) -> Formula:
     """f with every term and bound variable erased, so instantiating a
     quantifier body keeps the skeleton."""
-    if isinstance(f, (Eq, Mem)):
-        return type(f)(_HOLE, _HOLE)
-    if isinstance(f, ClassMem):
-        return ClassMem(_HOLE, f.cls)
-    if isinstance(f, (BoundedAll, BoundedEx)):
-        return type(f)("_", _HOLE, _skeleton(f.body))
-    if isinstance(f, (All, Ex)):
-        return type(f)("_", _skeleton(f.body))
-    return f._rebuild([_skeleton(c) for c in f._subs()])
+    return f._map(_hole, _skeleton, "_")
 
 
 def _valid_node(d: Derivation, logic: Logic, allow_cut: bool,
@@ -479,7 +469,6 @@ class ClassEliminationError(ValueError):
 
 def _comprehension_shape(f: Formula):
     """Recognizes ∀x((x∈X → φ) ∧ (φ → x∈X)), returning (X, x, φ)."""
-    from .formula import alpha_eq
     match f:
         case All(v, And(Imp(ClassMem(Var(v1), cls), phi),
                         Imp(phi2, ClassMem(Var(v2), cls2)))) \
@@ -503,7 +492,7 @@ def _replace_classes(f: Formula, defs: dict[str, tuple[str, Formula]]):
             if any(g.var in params[cls] for cls in scope):
                 g = _rename_binder(g, frozenset().union(
                     *(params[cls] | {defs[cls][0]} for cls in scope)))
-        return g._rebuild([go(c) for c in g._subs()])
+        return g._map(_same, go)
 
     return go(f)
 

@@ -8,7 +8,7 @@ import itertools
 from . import hf
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term, Var,
+    Formula, Imp, Lit, Mem, Or, Term,
 )
 from .hf import HFSet
 
@@ -66,8 +66,11 @@ def comprehension(f: Formula, args: list[HFSet]) -> HFSet:
     """{<x_n,...,x_1> in a_n x ... x a_1 | f(x1..xn)} by direct enumeration.
 
     The independent oracle for the bounded-formula compiler; evaluation
-    never consults an ambient universe since f must be bounded.
+    never consults an ambient universe since f must be bounded.  Arity 0
+    is refused, as ``godel.compile_bounded`` refuses it.
     """
+    if not args:
+        raise ValueError("arity must be at least 1")
     names = [f"x{i + 1}" for i in range(len(args))]
     out = []
     for combo in itertools.product(*args):

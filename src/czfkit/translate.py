@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from . import topology as tp
 from .formula import (
-    BigOr, BoundedEx, ClassMem, Eq, Ex, Formula, Mem, Or, _checked, neg,
+    BigOr, BoundedEx, ClassMem, Eq, Ex, Formula, Mem, Or, _checked, _same,
+    neg,
 )
 from .names import ClassName, Interpreter, Name, NameUniverse
 
@@ -32,7 +33,7 @@ def dn_translate(f: Formula) -> Formula:
     def go(g: Formula) -> Formula:
         if isinstance(g, (Eq, Mem, ClassMem)):
             return _dneg(g)
-        h = g._rebuild([go(c) for c in g._subs()])
+        h = g._map(_same, go)
         return _dneg(h) if isinstance(g, (Or, BigOr, BoundedEx, Ex)) else h
 
     return go(_checked(f))

@@ -366,6 +366,21 @@ def test_unreadable_topology_file_exits_2(capsys, tmp_path):
         assert captured.err.startswith("error: cannot read topology file: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("carrier: a b\norder: a<b\n", "bad order pair 'a<b'"),
+    ("carrier: a\norder: a<=z\n", "order pair (a,z) off the carrier"),
+    ("order: a<=a\ncover: a <| {a}\n", "missing carrier line"),
+], ids=["no-leq", "off-carrier", "no-carrier"])
+def test_malformed_topology_file_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "malformed.top"
+    path.write_text(text)
+    for command in ("frame", "topology-validate"):
+        assert run([command, "--topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad topology file: {message}\n"
+
+
 @pytest.mark.parametrize("argv, target", [
     (["classify", "x = x"], (hierarchy, "classify")),
     (["powerset-name", "--topology", "T", "--name", "()"],

@@ -357,15 +357,47 @@ def _concrete_formula_classes():
     return out
 
 
+def _mapped_field(value):
+    """What mapping every term to Var("hole"), every formula child to
+    false and the binder to var makes of one field."""
+    if isinstance(value, (Var, Lit)):
+        return Var("hole")
+    if isinstance(value, _FormulaNode):
+        return Falsum()
+    if isinstance(value, tuple):
+        return tuple(Falsum() for _ in value)
+    return value
+
+
 def test_every_node_kind_rebuilds_from_its_children():
     nodes = list(subformulas(PROTOCOL_EXAMPLE))
-    # a new node kind needs an example here, and _subs/_rebuild
+    # a new node kind needs an example here, and _subs/_map
     assert {type(g) for g in nodes} == _concrete_formula_classes()
+    seen_terms, seen_children = [], []
+
+    def term(t):
+        seen_terms.append(t)
+        return Var("hole")
+
+    def go(c):
+        seen_children.append(c)
+        return Falsum()
+
     for g in nodes:
-        assert g._rebuild(g._subs()) is g
-        new = tuple(Falsum() for _ in g._subs())
-        rebuilt = g._rebuild(new)
-        assert type(rebuilt) is type(g) and rebuilt._subs() == new
+        assert g._map(lambda t: t, lambda c: c) is g
+        fields = getattr(g, "__match_args__", ())
+        for var in (None, "w'"):
+            seen_terms.clear()
+            seen_children.clear()
+            mapped = g._map(term, go, var)
+            assert type(mapped) is type(g)
+            assert seen_children == list(g._subs())
+            assert seen_terms == [getattr(g, a) for a in fields
+                                  if isinstance(getattr(g, a), (Var, Lit))]
+            for a in fields:
+                expected = (var or g.var) if a == "var" \
+                    else _mapped_field(getattr(g, a))
+                assert getattr(mapped, a) == expected, (render(g), a)
 
 
 def test_every_node_kind_holds_its_text_once_built():

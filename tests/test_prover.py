@@ -678,6 +678,48 @@ def test_check_derivation_mutations():
     assert counts["eigen"] > 200
 
 
+BIG_SEQUENTS = [
+    (["x = x"], ["bigor [y = y, x = x]"], "R-bigor"),
+    ([], ["bigand [x = x -> x = x, y = y -> y = y]"], "R-bigand"),
+    (["bigor [x = x, y = y]"], ["bigor [y = y, x = x]"], "L-bigor"),
+    (["bigand [x = x, y = y]"], ["bigand [y = y, x = x]"], "R-bigand"),
+]
+
+
+@pytest.mark.parametrize("logic", Logic)
+@pytest.mark.parametrize("left, right, rule", BIG_SEQUENTS)
+def test_big_connective_rules_are_checked(logic, left, right, rule):
+    """A proof through each big-connective rule is accepted, and each copy
+    with one node renamed to another rule of its premise count, or with a
+    premise dropped, is rejected at that node."""
+    r = prove(_sequent(left, right), logic)
+    assert r.outcome is Outcome.PROVED
+    d = r.derivation
+    nodes = list(_nodes(d))
+    assert rule in {node.rule for _, node in nodes}
+    # every big formula here has two parts, and these rules one premise each
+    assert all(len(node.premises) == 2 for _, node in nodes
+               if node.rule in ("L-bigor", "R-bigand"))
+    assert check_derivation(d, logic).ok
+    corrupted = []
+    for path, node in nodes:
+        for other in RULE_ARITY:
+            if other != node.rule \
+                    and RULE_ARITY[other] in (None, len(node.premises)) \
+                    and not (RULE_ARITY[other] == 0
+                             and _axiom_applies(other, node.conclusion)):
+                corrupted.append((path, Derivation(
+                    other, node.conclusion, node.premises)))
+        for i in range(len(node.premises)):
+            corrupted.append((path, Derivation(
+                node.rule, node.conclusion,
+                node.premises[:i] + node.premises[i + 1:])))
+    for path, bad in corrupted:
+        report = check_derivation(_replace(d, path, bad), logic)
+        assert not report.ok, (bad.rule, bad.conclusion.render())
+        assert report.invalid == bad.conclusion
+
+
 def test_check_derivation_walks_each_formula_at_most_twice(monkeypatch):
     """Within one check, a formula is walked once for its scan and at most
     once more for the endsequent's skeleton set, however many nodes it

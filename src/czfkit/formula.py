@@ -384,6 +384,14 @@ Formula = (
 QUANTIFIERS = (BoundedAll, BoundedEx, All, Ex)
 
 
+class Steps(dict):
+    """Formula node class -> an evaluator's step function for that class;
+    any other class is not a formula."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"not a formula: a {cls.__name__} object")
+
+
 def neg(f: Formula) -> Formula:
     return Imp(f, Falsum())
 

@@ -11,15 +11,18 @@ expand and the CLI use and the tests compare against.  eval_opterm computes
 the same values in a normal form that keeps Kuratowski pairs as Python
 tuples (<a, b> is (a, b)), so relations are not built as HFSets between one
 operation and the next; it builds an HFSet where an operation needs the
-members of an element, and for the result.  Each node costs one lookup in
-_OPS, a table from operation symbol to its function on normal forms, after
-its children's values are in.  Compiled terms share subterms, so within
-one call each node is evaluated once.  Nothing outlives the call.
+members of an element, and for the result.  A term's first evaluation
+schedules its distinct nodes once, children first, as a straight-line
+program of functions from _OPS (operation symbol -> function on normal
+forms) over registers, stored on the term; each call runs it in one loop,
+so each shared subterm is evaluated once per call and depth costs no
+recursion.  The program holds no set: nothing outlives the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import hf, unique
 from .formula import (
@@ -135,6 +138,10 @@ class App:
             raise ValueError(f"operation {self.op!r} arity mismatch")
         object.__setattr__(self, "size", 1 + sum(a.size for a in self.args))
 
+    @cached_property
+    def _program(self) -> tuple[int, tuple]:
+        return _schedule(self)
+
 
 OpTerm = Arg | App
 
@@ -158,10 +165,22 @@ def eval_opterm(t: OpTerm, args: list[HFSet]) -> HFSet:
 
     Inside the call a set is a frozenset of normal-form elements (see
     _Eval), so the pairs that one operation builds and the next takes apart
-    are never made into HFSets.  Each node of t is evaluated once.  All of
-    it dies with the call, so the unique table can free what was built."""
-    call = _Eval(args)
-    return call.set_out(call.value(t))
+    are never made into HFSets.  t runs as its program (see _schedule), one
+    step per node, without recursion.  All of it dies with the call, so the
+    unique table can free what was built."""
+    # a bare Arg is a program of no steps: its register is the last one
+    top, program = (t.index, ()) if isinstance(t, Arg) else t._program
+    if top > len(args):
+        raise ValueError(f"argument index {top} out of range")
+    call = _Eval(args[:top])
+    regs = call.args
+    for fn, i, j, k in program:
+        if k is None:
+            regs.append(fn(call, regs[i]) if j is None
+                        else fn(call, regs[i], regs[j]))
+        else:
+            regs.append(fn(call, regs[i], regs[j], regs[k]))
+    return call.set_out(regs[-1])
 
 
 class _Eval:
@@ -174,47 +193,16 @@ class _Eval:
     forms: tuples compare by parts, HFSets by identity.  HFSets are built
     where an operation needs the members of an element (p, cup, cap over a
     family, imp, forall, mem) and for the result.  Conversions between sets
-    and normal forms are memoized for the call.
-
-    value computes a node's children itself and then applies the node's
-    entry in _OPS to them, so evaluation takes one Python frame per term
-    level: the table's functions never evaluate a term.
+    and normal forms are memoized for the call.  args holds the program's
+    registers: the arguments' values, then each step's.
     """
 
-    __slots__ = ("args", "nodes", "nfs", "sets")
+    __slots__ = ("args", "nfs", "sets")
 
     def __init__(self, args: list[HFSet]):
-        self.nodes: dict[int, frozenset] = {}  # id of a node -> its value
         self.nfs: dict[HFSet, object] = {}     # set -> its normal form
         self.sets: dict[tuple, HFSet] = {}     # pair normal form -> set
         self.args = [self.set_in(a) for a in args]
-
-    def value(self, t: OpTerm) -> frozenset:
-        """The value of t, one frame per term level.  Nodes are memoized by
-        id: hashing App compares structure, which costs the tree's size."""
-        v = self.nodes.get(id(t))
-        if v is not None:
-            return v
-        if isinstance(t, Arg):
-            if t.index > len(self.args):
-                raise ValueError(f"argument index {t.index} out of range")
-            return self.args[t.index - 1]
-        op, a = t.op, t.args
-        if op in ("cap", "cup") and isinstance(a[-1], App) and a[-1].op == "p":
-            # x cap bigcap {y, z} and bigcup {y, z}: the compiler's
-            # conjunction and disjunction; the pair set is never built
-            y, z = a[-1].args
-            if op == "cap":
-                v = _OPS["inter"](self, self.value(a[0]), self.value(y),
-                                  self.value(z))
-            else:
-                v = _OPS["union"](self, self.value(y), self.value(z))
-        elif len(a) == 1:
-            v = _OPS[op](self, self.value(a[0]))
-        else:
-            v = _OPS[op](self, self.value(a[0]), self.value(a[1]))
-        self.nodes[id(t)] = v
-        return v
 
     def nf(self, s: HFSet):
         e = self.nfs.get(s)
@@ -324,14 +312,49 @@ def _nf_mem(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
 
 
 # fundamental_op on normal-form values, one entry per symbol, plus the two
-# shapes that _Eval.value reads whole: inter(x, y, z) = x cap y cap z and
-# union(y, z) = y cup z.  Each entry takes the call and the argument values.
+# shapes that a program runs whole (see _operands): inter(x, y, z) =
+# x cap y cap z and union(y, z) = y cup z.  Each entry takes the call and
+# the argument values.
 _OPS = {
     "p": _nf_p, "cap": _nf_cap, "cup": _nf_cup, "diff": _nf_diff,
     "times": _nf_times, "imp": _nf_imp, "forall": _nf_forall,
     "dom": _nf_dom, "ran": _nf_ran, "123": _nf_123, "132": _nf_132,
     "eq": _nf_eq, "mem": _nf_mem, "inter": _nf_inter, "union": _nf_union,
 }
+
+
+_FUSED = {"cap": "inter", "cup": "union"}
+
+
+def _operands(u: OpTerm) -> tuple:
+    """u's children as its step reads them: cap(x, p(y, z)) reads x, y, z
+    as inter, cup(p(y, z)) reads y, z as union, and the p is not run."""
+    a = u.args
+    if isinstance(u, App) and u.op in _FUSED and isinstance(a[-1], App) \
+            and a[-1].op == "p":
+        return (*a[:-1], *a[-1].args)
+    return a
+
+
+def _schedule(t: App) -> tuple[int, tuple]:
+    """(m, steps): t as a program over registers, where 0..m-1 hold the
+    arguments #1..#m and m + k the value of step k.  A step (f, i, j, k)
+    applies f, the entry of _OPS for one node, to its operands' registers,
+    None filling the places of missing ones.  One fold over the distinct
+    nodes, operands first, orders the steps, so the last one computes t.
+    The program depends on t alone: it holds functions and ints, no set."""
+    m = max_placeholder(t)
+    steps: list = []
+
+    def node(u: OpTerm, regs: list) -> int:
+        if isinstance(u, Arg):
+            return u.index - 1
+        op = u.op if len(regs) == len(u.args) else _FUSED[u.op]
+        steps.append((_OPS[op], *regs, *(None,) * (3 - len(regs))))
+        return m + len(steps) - 1
+
+    unique.fold(t, _operands, node)
+    return m, tuple(steps)
 
 
 def max_placeholder(t: OpTerm) -> int:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from . import topology as tp, unique
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Term, distinct_subformulas,
+    QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Steps, Term,
+    distinct_subformulas,
 )
 from .hf import BudgetExceeded, HFSet, _skip_ws
 from .topology import FormalTopology, FrameElement
@@ -474,14 +475,7 @@ def _ex(it, f, env):
     return t._mask_nuclei[acc]
 
 
-class _Steps(dict):
-    """Node class -> step function; any other class is not a formula."""
-
-    def __missing__(self, cls):
-        raise TypeError(f"not a formula: a {cls.__name__} object")
-
-
-_STEPS = _Steps({
+_STEPS = Steps({
     Falsum: _falsum, Eq: _eq_atom, Mem: _mem_atom, ClassMem: _class_mem_atom,
     And: _and, Or: _or, Imp: _imp, BigAnd: _big_and, BigOr: _big_or,
     BoundedAll: _bounded_all, BoundedEx: _bounded_ex, All: _all, Ex: _ex,

@@ -8,7 +8,7 @@ import itertools
 from . import hf
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
-    Formula, Imp, Lit, Mem, Or, Term,
+    Formula, Imp, Lit, Mem, Or, Steps, Term,
 )
 from .hf import HFSet
 
@@ -28,38 +28,52 @@ def _eval_term(t: Term, env: dict[str, HFSet]) -> HFSet:
 
 
 def satisfies(universe: HFSet, f: Formula, env: dict[str, HFSet] | None = None) -> bool:
-    """Classical truth, unbounded quantifiers ranging over the universe."""
-    env = env or {}
-    match f:
-        case Falsum():
-            return False
-        case Eq(l, r):
-            return _eval_term(l, env) == _eval_term(r, env)
-        case Mem(l, r):
-            return _eval_term(l, env) in _eval_term(r, env)
-        case ClassMem():
-            raise ValueError("class atoms have no first-order satisfaction")
-        case And(l, r):
-            return satisfies(universe, l, env) and satisfies(universe, r, env)
-        case Or(l, r):
-            return satisfies(universe, l, env) or satisfies(universe, r, env)
-        case Imp(l, r):
-            return (not satisfies(universe, l, env)) or satisfies(universe, r, env)
-        case BigAnd(parts):
-            return all(satisfies(universe, p, env) for p in parts)
-        case BigOr(parts):
-            return any(satisfies(universe, p, env) for p in parts)
-        case BoundedAll(v, b, body):
-            return all(satisfies(universe, body, {**env, v: x})
-                       for x in _eval_term(b, env))
-        case BoundedEx(v, b, body):
-            return any(satisfies(universe, body, {**env, v: x})
-                       for x in _eval_term(b, env))
-        case All(v, body):
-            return all(satisfies(universe, body, {**env, v: x}) for x in universe)
-        case Ex(v, body):
-            return any(satisfies(universe, body, {**env, v: x}) for x in universe)
-    raise TypeError(f"not a formula: {f!r}")
+    """Classical truth, unbounded quantifiers ranging over the universe.
+
+    A step function per node class, through _STEPS, takes (universe, node,
+    environment) and calls its children's steps itself: one frame per
+    formula level.  A quantifier rebinds its variable in a copy of env."""
+    return _STEPS[type(f)](universe, f, env or {})
+
+
+def _class_mem(u, f, env):
+    raise ValueError("class atoms have no first-order satisfaction")
+
+
+def _junction(u, f, env):
+    """And and BigAnd stop at a false part, Or and BigOr at a true one."""
+    stop = type(f) in (Or, BigOr)
+    for part in f._subs():
+        if _STEPS[type(part)](u, part, env) == stop:
+            return stop
+    return not stop
+
+
+def _quantifier(u, f, env):
+    """A universal stops at a false instance, an existential at a true one;
+    a bounded quantifier ranges over its bound, All and Ex over u."""
+    stop = type(f) in (Ex, BoundedEx)
+    xs = u if type(f) in (All, Ex) else _eval_term(f.bound, env)
+    v, body = f.var, f.body
+    step, env = _STEPS[type(body)], dict(env)
+    for x in xs:
+        env[v] = x
+        if step(u, body, env) == stop:
+            return stop
+    return not stop
+
+
+_STEPS = Steps({
+    Falsum: lambda u, f, env: False,
+    Eq: lambda u, f, env: _eval_term(f.left, env) == _eval_term(f.right, env),
+    Mem: lambda u, f, env: _eval_term(f.left, env) in _eval_term(f.right, env),
+    Imp: lambda u, f, env: not _STEPS[type(f.left)](u, f.left, env)
+        or _STEPS[type(f.right)](u, f.right, env),
+    ClassMem: _class_mem,
+    And: _junction, BigAnd: _junction, Or: _junction, BigOr: _junction,
+    All: _quantifier, BoundedAll: _quantifier,
+    Ex: _quantifier, BoundedEx: _quantifier,
+})
 
 
 def comprehension(f: Formula, args: list[HFSet]) -> HFSet:

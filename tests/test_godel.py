@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 
 import pytest
@@ -309,10 +310,9 @@ def test_render_and_max_placeholder_match_the_tree_walk():
 
 
 def test_deep_terms_render_and_evaluate():
-    """Rendering walks without recursion, and evaluation takes one frame per
-    term level.  Nested quantifiers once compiled to a tree of about 4^n
-    nodes, as each level wrote its body twice; 100 of them over x1 hold iff
-    x1 is not empty."""
+    """Rendering and evaluation walk without recursion.  Nested quantifiers
+    once compiled to a tree of about 4^n nodes, as each level wrote its body
+    twice; 100 of them over x1 hold iff x1 is not empty."""
     t = compile_bounded(parse("~" * 900 + "x1 = x1"), 1)
     assert max_placeholder(t) == 1
     assert opterm_render(t).startswith("F_")
@@ -329,13 +329,46 @@ def test_deep_terms_render_and_evaluate():
 
 
 def test_evaluation_reaches_400_negations():
-    """value takes one frame per term level and the table's functions take
-    none, so a term twice as deep as the 200-negation case above
-    still evaluates under the default recursion limit."""
+    """A term twice as deep as the 200-negation case above evaluates under
+    the default recursion limit; evaluation, run as a straight-line
+    program, takes no frame per term level."""
     f = parse("~" * 400 + "x1 = x1")
     t = compile_bounded(f, 1)
     for a1 in hf.v_stage(2):
         assert eval_opterm(t, [hfset(a1)]) is comprehension(f, [hfset(a1)])
+
+
+def test_evaluation_reaches_900_negations():
+    """The 900-negation term of test_deep_terms_render_and_evaluate, which
+    evaluation once reached only to about 500, evaluates as the oracle says."""
+    f = parse("~" * 900 + "x1 = x1")
+    t = compile_bounded(f, 1)
+    for a1 in hf.v_stage(2):
+        assert eval_opterm(t, [hfset(a1)]) is comprehension(f, [hfset(a1)])
+
+
+def test_evaluation_takes_no_frame_per_term_level():
+    """A term 1000 levels deep, built from App directly (compile_bounded
+    recurses), evaluates under a recursion limit of 200.  Each level is
+    #1 minus the level below, or the union of the level below with the
+    empty set (the union shape that a program runs as one step); the
+    value alternates between a and the empty set at each diff."""
+    a = hf.v_stage(3)
+    empty = App("diff", (Arg(1), Arg(1)))
+    t, diffs = Arg(1), 0
+    for level in range(1000):
+        if level % 3:
+            t, diffs = App("diff", (Arg(1), t)), diffs + 1
+        else:
+            t = App("cup", (App("p", (t, empty)),))
+    assert max_placeholder(t) == 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        value = eval_opterm(t, [a])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value is (EMPTY if diffs % 2 else a)
 
 
 def test_deep_literal_evaluates_each_shared_subterm_once():

@@ -16,7 +16,9 @@ import pytest
 
 from czfkit import hf, prover, semantics, topology as tp
 from czfkit.corpus import bounded_formulas
-from czfkit.formula import BoundedAll, BoundedEx, free_vars, subformulas
+from czfkit.formula import (
+    BigAnd, BigOr, BoundedAll, BoundedEx, Imp, free_vars, render, subformulas,
+)
 from czfkit.names import Interpreter, check_name, name_universe
 from test_acceptance import _all_posets_up_to_3
 
@@ -64,6 +66,45 @@ def test_classical_proofs_are_true_in_the_two_element_frame(proved):
             assert it.value(f, env) == top, (f, env)
             checked += 1
     assert checked == 291
+
+
+def _big_connective_implications():
+    """(formula, valid) over corpus atoms in x1, x2: for each list ps of two
+    or three of them, the valid BigOr(ps) -> BigOr(reversed ps),
+    BigAnd(ps) -> BigAnd(reversed ps), BigAnd(ps) -> p and p -> BigOr(ps),
+    and the converses BigOr(ps) -> p and p -> BigAnd(ps), which are not."""
+    atoms = [f for f in bounded_formulas(2, 1, 50)
+             if render(f) in ("x1 = x2", "x1 in x2", "x2 in x1")]
+    assert len(atoms) == 3
+    out = []
+    for ps in [*itertools.combinations(atoms, 2), tuple(atoms)]:
+        for big in (BigOr, BigAnd):
+            out.append((Imp(big(ps), big(ps[::-1])), True))
+        for p in ps:
+            out += [(Imp(BigAnd(ps), p), True), (Imp(p, BigOr(ps)), True),
+                    (Imp(BigOr(ps), p), False), (Imp(p, BigAnd(ps)), False)]
+    return out
+
+
+def test_big_connective_proofs_are_forced_in_every_frame():
+    """The prover's big-connective rules under the soundness net: every
+    valid implication is proved, no converse is, and each proved one is
+    forced with top value in every frame under every assignment."""
+    candidates = _big_connective_implications()
+    assert len(candidates) == 44
+    proved = [f for f, _ in candidates if prover.prove_formula(
+        f, prover.Logic.INTUITIONISTIC, budget=2000).outcome
+        is prover.Outcome.PROVED]
+    checked = 0
+    for t in TOPOLOGIES:
+        u = name_universe(t, 1)
+        it, top = Interpreter(u), tp.top(t)
+        for f in proved:
+            for env in _assignments(f, u.names):
+                assert it.value(f, env) == top, (t, f, env)
+                checked += 1
+    assert proved == [f for f, valid in candidates if valid]
+    assert checked == 26 * 807
 
 
 def test_bounded_formulas_are_absolute_for_canonical_names():

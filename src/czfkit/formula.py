@@ -614,7 +614,10 @@ def substitute(f: Formula, v: str, t: Term) -> Formula:
                 g = _rename_binder(g, t._fv | {v})
         return g._map(term, go)
 
-    return go(_checked(f))
+    try:
+        return go(_checked(f))
+    finally:
+        del go  # go names itself; emptying its cell frees this call's state
 
 
 def _guarded(universal: bool, v: str, guard: Formula,
@@ -663,7 +666,10 @@ def relativize(f: Formula, bound: Term | str) -> Formula:
         quantifier = BoundedAll if isinstance(g, All) else BoundedEx
         return quantifier(v, bound, body)
 
-    return go(_checked(f))
+    try:
+        return go(_checked(f))
+    finally:
+        del go  # as in substitute
 
 
 def is_bounded(f: Formula) -> bool:
@@ -720,7 +726,10 @@ def alpha_canonical(f: Formula) -> Formula:
             depth, inner = depth + 1, {**ren, g.var: nv}
         return g._map(term, lambda c: go(c, depth, inner), nv)
 
-    return go(_checked(f), 0, {})
+    try:
+        return go(_checked(f), 0, {})
+    finally:
+        del go  # as in substitute
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:

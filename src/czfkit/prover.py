@@ -5,13 +5,16 @@ right rules for implication and the universal quantifier discard the rest
 of the succedent, and the left implication rule repeats its principal
 formula in the first premise, which is what makes double negations of
 classical tautologies reachable.  The classical calculus keeps the full
-succedent everywhere and needs no repetition.  Search is budget-bounded
-with memoized failures and an ancestor check against looping, so the
-outcome distinguishes refutation within the search space from running out
-of budget.  Bounded quantifiers are expanded to guarded unbounded ones on
-entry.  Finite conjunctions and disjunctions are handled natively.  The
-calculus has no equality rules: ``=`` is an uninterpreted atom like ``in``,
-so ``x = x`` is not provable in either logic.
+succedent everywhere and needs no repetition.  Search is budget-bounded,
+so the outcome distinguishes refutation within the search space from
+running out of budget.  It keeps one node record per distinct sequent
+expanded (``_Node``): a memoized failure, whether the sequent is open on
+the current branch (the check against looping), and, once the sequent
+comes back, the rule applications already built, which later expansions
+replay rather than rebuild.  Bounded quantifiers are expanded to guarded
+unbounded ones on entry.  Finite conjunctions and disjunctions are handled
+natively.  The calculus has no equality rules: ``=`` is an uninterpreted
+atom like ``in``, so ``x = x`` is not provable in either logic.
 
 Each rule is written once, in ``_RULES``: the side and node class of its
 principal formula and a function that builds the premises of each instance.
@@ -95,13 +98,16 @@ class ProveResult:
     sequents expanded; ``limit`` is ``"nodes"`` when the node budget ran
     out, else ``"depth"`` when a branch reached ``_Search.MAX_DEPTH``, else
     None; ``loop_hits`` counts sequents refused because an ancestor was the
-    same sequent, and ``memo_hits`` those refused as already failed."""
+    same sequent, and ``memo_hits`` those refused as already failed;
+    ``revisits`` counts the expansions of a sequent that the search had
+    already expanded."""
     outcome: Outcome
     derivation: Derivation | None = None
     expanded: int = 0
     limit: str | None = None
     loop_hits: int = 0
     memo_hits: int = 0
+    revisits: int = 0
 
 
 def desugar(f: Formula) -> Formula:
@@ -248,6 +254,18 @@ _SEARCH_ORDER = {
 }
 
 
+class _Node:
+    """What one search knows of one sequent it has expanded: whether its
+    failure is memoized, whether it is open on the current branch, and,
+    from its second expansion on, the (rule, premises) steps yielded so far
+    and the suspended ``_steps`` generator that yields the rest."""
+    __slots__ = ("failed", "open", "steps", "more")
+
+    def __init__(self):
+        self.failed = self.open = False
+        self.steps = self.more = None
+
+
 class _Search:
     MAX_DEPTH = 250
 
@@ -257,8 +275,9 @@ class _Search:
         self.budget = budget
         self.allow_cut = allow_cut
         self.expanded = 0
-        self.failed: set[Sequent] = set()
-        self.ancestors: set[Sequent] = set()  # the sequents on the branch
+        self.revisits = 0
+        self.nodes: dict[Sequent, _Node] = {}  # the sequents expanded
+        self.depth = 0  # how many sequents are open on the branch
         self.limit: str | None = None
         self.loop_hits = 0
         self.memo_hits = 0
@@ -303,6 +322,20 @@ class _Search:
                     if sub not in g and sub not in d:
                         yield "cut", _cut(g, d, sub)
 
+    def _replay(self, s: Sequent, node: _Node):
+        """The steps of s again: those of earlier expansions, then the rest
+        from the kept generator.  Within one search a sequent's steps
+        depend on the sequent alone, so the order is that of _steps."""
+        if node.steps is None:
+            node.steps, node.more = [], self._steps(s)
+        steps = node.steps
+        yield from steps
+        # a for loop, unlike yield from, leaves the generator open when
+        # this replay is abandoned
+        for step in node.more:
+            steps.append(step)
+            yield step
+
     def prove(self, s: Sequent) -> Derivation | None:
         right = s.right
         for f in s.left:
@@ -310,24 +343,32 @@ class _Search:
                 return Derivation("init", s)
         if _FALSE in s.left:
             return Derivation("L-false", s)
-        if s in self.failed:
-            self.memo_hits += 1
-            return None
-        ancestors = self.ancestors
-        if s in ancestors:
-            self.loop_hits += 1
-            return None
+        node = self.nodes.get(s)
+        if node is not None:
+            if node.failed:
+                self.memo_hits += 1
+                return None
+            if node.open:
+                self.loop_hits += 1
+                return None
         if self.expanded >= self.budget:
             self.limit = "nodes"
             return None
-        if len(ancestors) >= self.MAX_DEPTH:
+        if self.depth >= self.MAX_DEPTH:
             self.limit = self.limit or "depth"
             return None
         self.expanded += 1
+        if node is None:
+            self.nodes[s] = node = _Node()
+            steps = self._steps(s)
+        else:
+            self.revisits += 1
+            steps = self._replay(s, node)
         loops_before = self.loop_hits
-        ancestors.add(s)
+        node.open = True
+        self.depth += 1
         try:
-            for rule, premises in self._steps(s):
+            for rule, premises in steps:
                 subs = []
                 for p in premises:
                     d = self.prove(p)
@@ -337,11 +378,12 @@ class _Search:
                 else:
                     return Derivation(rule, s, tuple(subs))
         finally:
-            ancestors.discard(s)
+            node.open = False
+            self.depth -= 1
         # a failure that never tripped the ancestor check or the budget is
         # context-independent and safe to memoize
         if self.loop_hits == loops_before and self.limit is None:
-            self.failed.add(s)
+            node.failed = True
         return None
 
 
@@ -349,15 +391,18 @@ def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
           budget: int = 20000, allow_cut: bool = False) -> ProveResult:
     """Backward search from the endsequent.  The search recurses once per
     rule applied, so the recursion limit is raised for its duration only."""
+    search = _Search(logic, budget, allow_cut)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10000))
     try:
         s = Sequent.make([desugar(f) for f in s.left],
                          [desugar(f) for f in s.right])
-        search = _Search(logic, budget, allow_cut)
         d = search.prove(s)
     finally:
         sys.setrecursionlimit(limit)
+        # kept generators refer back to the search; dropping the table
+        # frees the search by refcount
+        search.nodes.clear()
     if d is not None:
         outcome = Outcome.PROVED
     elif search.limit is not None:
@@ -365,7 +410,7 @@ def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
     else:
         outcome = Outcome.NOT_PROVABLE
     return ProveResult(outcome, d, search.expanded, search.limit,
-                       search.loop_hits, search.memo_hits)
+                       search.loop_hits, search.memo_hits, search.revisits)
 
 
 def prove_formula(f: Formula, logic: Logic = Logic.INTUITIONISTIC,
@@ -494,7 +539,10 @@ def _replace_classes(f: Formula, defs: dict[str, tuple[str, Formula]]):
                     *(params[cls] | {defs[cls][0]} for cls in scope)))
         return g._map(_same, go)
 
-    return go(f)
+    try:
+        return go(f)
+    finally:
+        del go  # as in formula.substitute
 
 
 def eliminate_classes(axioms: list[Formula],

@@ -36,7 +36,10 @@ def dn_translate(f: Formula) -> Formula:
         h = g._map(_same, go)
         return _dneg(h) if isinstance(g, (Or, BigOr, BoundedEx, Ex)) else h
 
-    return go(_checked(f))
+    try:
+        return go(_checked(f))
+    finally:
+        del go  # as in formula.substitute
 
 
 _TWO = tp.omega()  # its frame is the two-element Boolean algebra

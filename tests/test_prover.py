@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import pickle
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from czfkit import prover
+from czfkit import formula, prover
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
     QUANTIFIERS, All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem,
@@ -494,6 +495,173 @@ def test_search_population_is_unchanged():
             r.outcome.value, r.expanded, r.limit, r.loop_hits, r.memo_hits,
             hashlib.sha256(text.encode()).hexdigest())).encode())
     assert digest.hexdigest() == POPULATION_DIGEST
+
+
+# -- the node table searches as the failed and ancestor sets did -------------
+
+
+class _ReferenceSearch(prover._Search):
+    """_Search.prove as it was: a set of failed sequents and a set of the
+    sequents on the branch, with each expansion building its steps anew.
+    ``seen`` collects the distinct sequents expanded."""
+
+    def __init__(self, logic, budget, allow_cut):
+        super().__init__(logic, budget, allow_cut)
+        self.failed, self.ancestors, self.seen = set(), set(), set()
+
+    def prove(self, s):
+        right = s.right
+        for f in s.left:
+            if isinstance(f, prover._ATOMS) and f in right:
+                return Derivation("init", s)
+        if prover._FALSE in s.left:
+            return Derivation("L-false", s)
+        if s in self.failed:
+            self.memo_hits += 1
+            return None
+        ancestors = self.ancestors
+        if s in ancestors:
+            self.loop_hits += 1
+            return None
+        if self.expanded >= self.budget:
+            self.limit = "nodes"
+            return None
+        if len(ancestors) >= self.MAX_DEPTH:
+            self.limit = self.limit or "depth"
+            return None
+        self.expanded += 1
+        self.seen.add(s)
+        loops_before = self.loop_hits
+        ancestors.add(s)
+        try:
+            for rule, premises in self._steps(s):
+                subs = []
+                for p in premises:
+                    d = self.prove(p)
+                    if d is None:
+                        break
+                    subs.append(d)
+                else:
+                    return Derivation(rule, s, tuple(subs))
+        finally:
+            ancestors.discard(s)
+        if self.loop_hits == loops_before and self.limit is None:
+            self.failed.add(s)
+        return None
+
+
+def _prove_reference(f, logic, budget, allow_cut=False):
+    """prove_formula through _ReferenceSearch: the fields of its
+    ProveResult, with revisits counted as the expansions beyond the
+    distinct sequents expanded."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    try:
+        search = _ReferenceSearch(logic, budget, allow_cut)
+        d = search.prove(Sequent.make((), (prover.desugar(f),)))
+    finally:
+        sys.setrecursionlimit(limit)
+    outcome = (Outcome.PROVED if d is not None else
+               Outcome.BUDGET_EXCEEDED if search.limit else
+               Outcome.NOT_PROVABLE)
+    return (outcome, search.expanded, search.limit, search.loop_hits,
+            search.memo_hits, d.render() if d else "",
+            search.expanded - len(search.seen))
+
+
+def _differential_targets(kind):
+    if kind == "population":
+        for f, logic, budget in _population():
+            yield f, logic, budget, False
+    elif kind == "cut":
+        # every seventh target, with cut admitted
+        for f, logic, budget in itertools.islice(_population(), 0, None, 7):
+            yield f, logic, budget, True
+    elif kind == "depth-3":
+        for f, logic, budget in _population():
+            yield f, logic, budget, False
+    else:
+        # every quantifier-prefix implication at budget 400, where the
+        # sequents grow widest; classically too would take 10 s more
+        for a, b in itertools.product(PREFIX, repeat=2):
+            f = parse(f"({PREFIX[a]}) -> ({PREFIX[b]})")
+            yield f, INT, 400, False
+
+
+@pytest.mark.parametrize("kind", ["population", "cut", "depth-3",
+                                  "prefix-400"])
+def test_search_matches_the_set_based_reference(kind, monkeypatch):
+    """The node table, which keeps a revisited sequent's steps, searches
+    exactly as the failed and ancestor sets did: the same outcome, nodes,
+    limit, loop and memo hits and derivation.  Its revisits are the
+    expansions beyond the distinct sequents the reference expanded."""
+    if kind == "depth-3":
+        monkeypatch.setattr(prover._Search, "MAX_DEPTH", 3)
+    count = revisits = 0
+    for f, logic, budget, cut in _differential_targets(kind):
+        r = prove_formula(f, logic, budget=budget, allow_cut=cut)
+        got = (r.outcome, r.expanded, r.limit, r.loop_hits, r.memo_hits,
+               r.derivation.render() if r.derivation else "", r.revisits)
+        assert got == _prove_reference(f, logic, budget, cut), \
+            (render(f), logic, budget, cut)
+        count += 1
+        revisits += r.revisits
+    assert count >= 36
+    # kept steps are replayed here; depth 3 cuts every branch short, and
+    # the budget-400 searches expand no sequent twice
+    assert (revisits > 0) == (kind in ("population", "cut"))
+
+
+def test_revisits_count_expansions_of_expanded_sequents():
+    f = parse("x = x")
+    for _ in range(8):
+        f = neg(f)
+    r = prove_formula(f, INT, budget=2000)
+    assert (r.outcome, r.expanded, r.loop_hits) == \
+        (Outcome.BUDGET_EXCEEDED, 2000, 10439)
+    distinct = r.expanded - r.revisits
+    assert distinct == _prove_reference(f, INT, 2000)[1] - \
+        _prove_reference(f, INT, 2000)[-1]
+    assert 0 < distinct < 100
+    # a search that meets no sequent twice revisits none
+    assert prove_formula(parse("x = x -> x = x"), INT).revisits == 0
+
+
+def test_search_state_is_scoped_to_one_search():
+    """With the cycle collector off, a search leaves nothing behind: its
+    node table, kept generators and the formulas it built die with it.  A
+    proof found with revisited sequents leaves their generators
+    suspended."""
+    refuted = parse("(ex x. ex y. x in y) -> (all x. all y. x in y)")
+    wide = parse("x = x")
+    for _ in range(8):
+        wide = neg(wide)
+    proved = dn_translate(parse(PROPS[3]))
+
+    def alive():
+        return sum(isinstance(o, (prover._Search, prover._Node))
+                   for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(formula._table)
+        r = prove_formula(refuted, INT)
+        assert r.outcome is Outcome.NOT_PROVABLE
+        del r
+        assert len(formula._table) == before
+        assert alive() == 0
+        r = prove_formula(wide, INT, budget=2000)
+        assert r.outcome is Outcome.BUDGET_EXCEEDED and r.revisits > 0
+        del r
+        assert len(formula._table) == before
+        assert alive() == 0
+        r = prove_formula(proved, INT, budget=200)
+        assert r.outcome is Outcome.PROVED and r.revisits > 0
+        del r
+        assert alive() == 0
+    finally:
+        gc.enable()
 
 
 def _render_make_reference(left, right):

@@ -8,6 +8,8 @@ fields by hand, and each builds its own guard for a bounded quantifier.
 Formulas are hash-consed, so agreement is checked as identity.
 """
 
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -18,7 +20,8 @@ from czfkit.formula import (
     Eq, Ex, Imp, Lit, Mem, Or, Var, alpha_canonical, class_ids, free_vars,
     is_bounded, parse, relativize, render, subformulas, substitute,
 )
-from czfkit.prover import _skeleton, desugar
+from czfkit.prover import _skeleton, desugar, eliminate_classes
+from czfkit.translate import dn_translate
 from test_formula import _concrete_formula_classes
 from test_properties import PROPERTY, binders, formulas, terms
 
@@ -273,3 +276,27 @@ def test_unbounded_is_the_guarded_reading():
                        ("ex x in y. x = x", "ex x. x in y & x = x"),
                        ("ex x in x. x = x'", "ex x''. x'' in x & x'' = x'")]:
         assert render(formula.unbounded(parse(text))) == want
+
+
+def test_rewriters_leave_no_reference_cycles():
+    """Each rewriter recurses through a closure that names itself; a call
+    must still leave nothing for the cycle collector, so that the terms
+    and formulas it held die by refcount when it returns."""
+    f = parse("all y. (x in y -> ex x. x = y)")
+    comprehension = parse("all x. ((x in C -> x = y) & (x = y -> x in C))")
+    calls = [
+        lambda: substitute(f, "x", Var("y")),
+        lambda: relativize(f, Var("y")),
+        lambda: relativize(f, "C"),
+        lambda: alpha_canonical(f),
+        lambda: dn_translate(f),
+        lambda: eliminate_classes([comprehension], parse("all y. z in C")),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        gc.enable()

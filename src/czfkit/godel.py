@@ -155,8 +155,17 @@ def _render(t: OpTerm, parts: list[str]) -> str:
     return "".join(pieces)
 
 
+# The most tree nodes opterm_render writes out.  The text grows with the
+# tree, and a literal's tree doubles with each level of nesting.
+MAX_RENDER_SIZE = 1 << 26
+
+
 def opterm_render(t: OpTerm) -> str:
-    """t in full: a shared subterm is rendered once, written at each use."""
+    """t in full: a shared subterm is rendered once, written at each use.
+    A term of more than MAX_RENDER_SIZE tree nodes raises BudgetExceeded."""
+    if t.size > MAX_RENDER_SIZE:
+        raise BudgetExceeded(f"term of {t.size} nodes, more than "
+                             f"{MAX_RENDER_SIZE} to render")
     return unique.fold(t, lambda u: u.args, _render)
 
 
@@ -502,24 +511,18 @@ class _Compiler:
                 return self.empty()
             case Eq() | Mem():
                 return self.atom(f, slots, ctx)
-            case And(l, r):
-                return _inter(self.compile(l, slots, ctx), self.compile(r, slots, ctx))
-            case Or(l, r):
-                return _bunion(self.compile(l, slots, ctx), self.compile(r, slots, ctx))
+            case And() | BigAnd() | Or() | BigOr():
+                # a loop, not reduce over a map: one frame per formula level
+                join = _inter if isinstance(f, (And, BigAnd)) else _bunion
+                first, *rest = f._subs()
+                acc = self.compile(first, slots, ctx)
+                for g in rest:
+                    acc = join(acc, self.compile(g, slots, ctx))
+                return acc
             case Imp(l, r):
                 holds = self.compile(r, slots, ctx)
                 fails = _diff(self.prod(slots), self.compile(l, slots, ctx))
                 return _bunion(fails, holds)
-            case BigAnd(parts):
-                acc = self.compile(parts[0], slots, ctx)
-                for part in parts[1:]:
-                    acc = _inter(acc, self.compile(part, slots, ctx))
-                return acc
-            case BigOr(parts):
-                acc = self.compile(parts[0], slots, ctx)
-                for part in parts[1:]:
-                    acc = _bunion(acc, self.compile(part, slots, ctx))
-                return acc
             case BoundedEx(v, b, body) | BoundedAll(v, b, body):
                 if isinstance(b, Lit):
                     slot, inner = self.literal(b.value), body

@@ -13,7 +13,6 @@ the interchange format used by the CLI and the test fixtures.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable, Iterator
 
@@ -31,7 +30,6 @@ _serialization = operator.attrgetter("_repr")
 _set = object.__setattr__
 
 
-@functools.total_ordering
 class HFSet(unique.Interned):
     """A hereditarily finite set in canonical form.
 
@@ -76,11 +74,6 @@ class HFSet(unique.Interned):
 
     def __repr__(self) -> str:
         return self._repr
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, HFSet):
-            return NotImplemented
-        return self._repr < other._repr
 
     # -- set protocol ------------------------------------------------------
 
@@ -215,12 +208,10 @@ def unpair(p: HFSet) -> tuple[HFSet, HFSet] | None:
             return a, a
         return None
     if len(p._elems) == 2:
-        e1, e2 = p._elems
-        if len(e1._elems) == 1 and len(e2._elems) == 2:
-            single, double = e1, e2
-        elif len(e2._elems) == 1 and len(e1._elems) == 2:
-            single, double = e2, e1
-        else:
+        # canonical order puts {a,b} before {a}: "{a,b}" and "{a}" first
+        # differ at "," against "}", "{b,a}" and "{a}" at b against a
+        double, single = p._elems
+        if len(double._elems) != 2 or len(single._elems) != 1:
             return None
         (a,) = single._elems
         if a not in double._members:

@@ -337,20 +337,20 @@ class _Search:
             yield step
 
     def prove(self, s: Sequent) -> Derivation | None:
-        right = s.right
-        for f in s.left:
-            if isinstance(f, _ATOMS) and f in right:
-                return Derivation("init", s)
-        if _FALSE in s.left:
-            return Derivation("L-false", s)
         node = self.nodes.get(s)
-        if node is not None:
-            if node.failed:
-                self.memo_hits += 1
-                return None
-            if node.open:
-                self.loop_hits += 1
-                return None
+        if node is None:  # a tabled sequent was expanded, so it is no axiom
+            right = s.right
+            for f in s.left:
+                if isinstance(f, _ATOMS) and f in right:
+                    return Derivation("init", s)
+            if _FALSE in s.left:
+                return Derivation("L-false", s)
+        elif node.failed:
+            self.memo_hits += 1
+            return None
+        elif node.open:
+            self.loop_hits += 1
+            return None
         if self.expanded >= self.budget:
             self.limit = "nodes"
             return None

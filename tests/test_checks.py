@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 
 from czfkit import hf
 from czfkit.checks import (
-    ElementarityReport, EmbeddingMap, RegularityLevel, check_critical_point,
-    check_elementary, check_regular,
+    ElementarityReport, EmbeddingMap, RegularityLevel, _is_regular,
+    check_critical_point, check_elementary, check_regular,
 )
-from czfkit.hf import EMPTY, hfset, kpair
+from czfkit.hf import EMPTY, HFSet, hfset, kpair, parse_hf
 
 
 ONE = hfset(EMPTY)
@@ -30,6 +32,43 @@ def test_regular_counterexample():
     assert any("regularity" in msg for msg in report.failures)
 
 
+def _is_regular_reference(a_set):
+    """The regularity search over every inhabited subset of the set with at
+    most |a| members, smallest first; a missing subset converts back to an
+    explicit relation by cycling its elements over a."""
+    members = list(a_set)
+    sizes = sorted({len(a) for a in a_set if a})
+    if not sizes:
+        return None
+    largest = sizes[-1]
+    for r in range(1, min(largest, len(members)) + 1):
+        for combo in itertools.combinations(members, r):
+            s = hf.hfset(*combo)
+            if s in a_set:
+                continue
+            for a in a_set:
+                if len(a) >= r:
+                    xs = list(a)
+                    ran = list(s)
+                    pairs = HFSet(hf.kpair(xs[i], ran[i % len(ran)])
+                                  for i in range(len(xs)))
+                    return f"no image in the set for a={a} R={pairs}"
+    return None
+
+
+def test_regularity_matches_the_full_search_on_v4():
+    transitive = [s for s in hf.subsets(hf.v_stage(4)) if s.is_transitive()]
+    assert len(transitive) == 4131
+    regular = []
+    for s in transitive:
+        got = _is_regular(s)
+        assert got == _is_regular_reference(s), s
+        if got is None:
+            regular.append(s)
+    # on hereditarily finite sets regular holds for the empty set and {0}
+    assert regular == [EMPTY, ONE]
+
+
 def test_bcst_level():
     # the empty set misses the empty-set clause; inhabited sets break
     # pairing closure, which would force infinitely many members
@@ -39,6 +78,30 @@ def test_bcst_level():
     report = check_regular(ONE, RegularityLevel.BCST)
     assert not report.ok
     assert any("pair" in msg for msg in report.failures)
+
+
+def test_bcst_union_and_intersection_failures():
+    report = check_regular(parse_hf("{{{{{}}},{{}},{}},{{{}}},{{}},{}}"),
+                           RegularityLevel.BCST)
+    assert report.failures[1:] == (
+        "bcst: pair of {{{{}}},{{}},{}} and {{{{}}},{{}},{}} missing",
+        "bcst: union of {{{{}}},{{}},{}} missing")
+    report = check_regular(parse_hf("{{{{{}},{}},{{}}},{{{}},{}},{{}},{}}"),
+                           RegularityLevel.BCST)
+    assert report.failures[1:] == (
+        "bcst: pair of {{{{}},{}},{{}}} and {{{{}},{}},{{}}} missing",
+        "bcst: intersection of {{{{}},{}},{{}}} and {{{}},{}} missing")
+
+
+def test_inaccessible_intersection_failure():
+    # the members of a = {m1, m2} meet in 2, which the set lacks
+    m1 = hfset(EMPTY, ONE, hfset(hfset(ONE)))
+    m2 = hfset(EMPTY, ONE, hfset(ONE))
+    a = hfset(m1, m2)
+    a_set = hfset(EMPTY, ONE, hfset(ONE), hfset(hfset(ONE)), m1, m2, a)
+    assert a_set.is_transitive() and TWO not in a_set
+    report = check_regular(a_set, RegularityLevel.INACCESSIBLE)
+    assert f"inaccessible: intersection of {a} missing" in report.failures
 
 
 def test_inaccessible_omega_clause_always_reported():
@@ -55,6 +118,8 @@ def test_embedding_validation():
         EmbeddingMap(source=TWO, target=TWO, graph={EMPTY: EMPTY})
     with pytest.raises(ValueError):
         EmbeddingMap(source=ONE, target=ONE, graph={EMPTY: ONE})
+    with pytest.raises(ValueError, match="outside the source"):
+        EmbeddingMap(source=ONE, target=TWO, graph={EMPTY: EMPTY, ONE: ONE})
 
 
 def test_elementary_identity():
@@ -93,6 +158,11 @@ def test_critical_point_positive():
 def test_critical_point_moved_member_fails():
     j = EmbeddingMap(source=TWO, target=V3, graph={EMPTY: ONE, ONE: TWO})
     assert not check_critical_point(j, ONE)
+
+
+def test_critical_point_not_transitive_fails():
+    j = EmbeddingMap(source=V3, target=V3, graph={x: x for x in V3})
+    assert not check_critical_point(j, hfset(ONE))
 
 
 def test_critical_point_outside_source():

@@ -581,17 +581,33 @@ def _limit_address_space(limit=400_000_000):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _compile_under_limit(text):
+    """czfkit compile of text at arity 1 in a subprocess under a 400 MB
+    address-space limit."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(czfkit.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "czfkit.cli", "compile", text, "--arity", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+
+
 def test_out_of_memory_exits_3():
     """Running out of memory is a tripped budget, not a negative answer.
     The 22-deep literal's term renders to about 160 MB of text; under a
     400 MB address-space limit the render fails, and nothing is printed.
     Never run this input without the limit."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(czfkit.__file__).resolve().parents[1]))
-    text = "x1 = " + "{" * 22 + "}" * 22
-    done = subprocess.run(
-        [sys.executable, "-m", "czfkit.cli", "compile", text, "--arity", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_limit_address_space)
+    done = _compile_under_limit("x1 = " + "{" * 22 + "}" * 22)
     assert (done.returncode, done.stdout, done.stderr) \
         == (3, "", "budget exceeded: out of memory\n")
+
+
+def test_term_too_large_to_render_exits_3():
+    """The 26-rank literal's term has 2^30 + 1 tree nodes, past
+    godel.MAX_RENDER_SIZE, so compile stops before rendering.  The
+    address-space limit stays, so that a missing bound fails the test
+    rather than taking the machine's memory."""
+    done = _compile_under_limit("x1 = " + "{" * 27 + "}" * 27)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("budget exceeded: term of 1073741825 ")
+    assert done.stderr.count("\n") == 1

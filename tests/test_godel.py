@@ -385,6 +385,18 @@ def test_deep_literal_evaluates_each_shared_subterm_once():
     assert time.monotonic() - started < 0.5
 
 
+def test_render_refuses_a_term_past_its_bound():
+    """x1 = c for a literal c of rank r compiles to 2^(r + 4) + 1 tree
+    nodes; past MAX_RENDER_SIZE the render raises before it writes any
+    text."""
+    for rank in (22, 26):
+        text = "{" * (rank + 1) + "}" * (rank + 1)
+        t = compile_bounded(parse(f"x1 = {text}"), 1)
+        assert t.size == 2 ** (rank + 4) + 1 > godel.MAX_RENDER_SIZE
+        with pytest.raises(hf.BudgetExceeded, match="to render$"):
+            opterm_render(t)
+
+
 def test_def_stage_examples():
     assert def_stage(EMPTY, 0) == EMPTY
     assert def_stage(EMPTY, 1) == hfset(EMPTY, ONE)

@@ -114,6 +114,43 @@ def test_kpair_injective(a, b):
     assert hf.unpair(hf.kpair(a, b)) == (a, b)
 
 
+def _unpair_reference(p):
+    """unpair as it was before it relied on canonical order: a
+    two-member set is read as {single, double} in either order."""
+    if len(p._elems) == 1:
+        (inner,) = p._elems
+        if len(inner._elems) == 1:
+            (a,) = inner._elems
+            return a, a
+        return None
+    if len(p._elems) == 2:
+        e1, e2 = p._elems
+        if len(e1._elems) == 1 and len(e2._elems) == 2:
+            single, double = e1, e2
+        elif len(e2._elems) == 1 and len(e1._elems) == 2:
+            single, double = e2, e1
+        else:
+            return None
+        (a,) = single._elems
+        if a not in double._members:
+            return None
+        x, y = double._elems
+        return a, (y if x is a else x)
+    return None
+
+
+def test_unpair_matches_the_reference_on_every_subset_of_v4():
+    subsets = list(hf.subsets(hf.v_stage(4)))
+    assert len(subsets) == 65536
+    pairs = 0
+    for p in subsets:
+        got = hf.unpair(p)
+        assert got == _unpair_reference(p), p
+        pairs += got is not None
+    # <a, b> is a subset of V_4 exactly when a and b are in V_3
+    assert pairs == 4 * 4
+
+
 def test_tuple_right():
     a, b, c = EMPTY, hfset(EMPTY), hfset(hfset(EMPTY))
     assert hf.tuple_right([a]) == a

@@ -215,9 +215,13 @@ class Interpreter:
     the recursion is well founded because entries of a name are strictly
     shallower than the name.  Equality stops at the first empty conjunct
     and membership once its join reaches top, since no later operand can
-    change the value.  Ordered-pair names are memoized too, so each is built
-    once per interpreter; the memos die with it, and the weak unique table
-    can free their names."""
+    change the value.  Membership of an ordered pair in a relation,
+    ``_pair_mem``, compares the pair's components with those of the
+    relation's pair keys and builds no pair name; it reads each relation's
+    keys once and memoizes its values.  Ordered-pair names that are built,
+    by ``op`` or for a relation key that is no pair, are memoized too, so
+    each is built once per interpreter.  The memos die with the
+    interpreter, and the weak unique table can free their names."""
 
     def __init__(self, universe: NameUniverse):
         self.u = universe
@@ -227,6 +231,8 @@ class Interpreter:
         self._masked = _MaskedEntries(self.t)
         self._check: dict[HFSet, Name] = {}
         self._op: dict[tuple[Name, Name], Name] = {}
+        self._pair_keys: dict[Name, tuple] = {}
+        self._pair_mems: dict[tuple[Name, Name, Name], int] = {}
 
     def op(self, a: Name, b: Name) -> Name:
         """The ordered pair name ``op(a, b, self.t)``."""
@@ -313,6 +319,82 @@ class Interpreter:
                 if acc == top:
                     break
         return t._mask_nuclei[acc]
+
+    def _pair_mem(self, a: Name, b: Name, r: Name) -> int:
+        """The mask of mem(op(a, b), r), without building op(a, b) when
+        r's keys are ordered pairs; memoized like ``_mem``.
+
+        One pass over r's entries of non-empty weight, as in
+        ``_weighted_join``: stops at top and applies the nucleus once.  A
+        key that spells op(c, d) adds its weight met with eq(a, c) and
+        eq(b, d), and eq(b, d) is skipped once that meet is empty.  Any
+        other key s adds its weight met with eq(self.op(a, b), s), as
+        ``_mem`` would.
+
+        Why this is exact: in every Heyting-valued model
+        [[op(a, b) = op(c, d)]] = [[a = c]] and [[b = d]].  The proof uses
+        only that [[x in up(u, v)]] = [[x = u]] or [[x = v]], which holds
+        when the weights are top, as ``_pair_parts`` requires.
+        - Right to left: substitutivity of equality.
+        - Left to right: e = [[op(a, b) = op(c, d)]] lies below
+          [[{a} in op(c, d)]] = [[{a} = {c}]] or [[{a} = {c, d}]], and
+          both disjuncts lie below [[a = c]].  e also lies below
+          [[{a, b} = {c}]] or [[{a, b} = {c, d}]], and below
+          [[{c, d} = {a}]] or [[{c, d} = {a, b}]]; meeting these and
+          splitting each {u, v} = {w, z} into its members' equalities
+          leaves, in every case, a meet below [[b = d]].  The frame is
+          distributive, so this case analysis is intuitionistic."""
+        key = (a, b, r)
+        out = self._pair_mems.get(key)
+        if out is not None:
+            return out
+        t = self.t
+        top = t._top_mask
+        eq = self._eq
+        acc = 0
+        for c, d, q in self._pair_keys_of(r):
+            if c is None:  # d is a key that spells no pair
+                acc |= q & eq(self.op(a, b), d)
+            else:
+                e = q & eq(a, c)
+                if e:
+                    acc |= e & eq(b, d)
+            if acc == top:
+                break
+        out = self._pair_mems[key] = t._mask_nuclei[acc]
+        return out
+
+    def _pair_keys_of(self, r: Name) -> tuple:
+        """r's entries of non-empty weight q as triples (c, d, q) for a key
+        that spells op(c, d), and (None, key, q) for any other key.
+
+        A key spells op(c, d) when its masked entries are {c} and {c, d},
+        or {c} alone for c = d, and every weight, inner ones included, is
+        the top mask.  Each relation is read once per interpreter."""
+        out = self._pair_keys.get(r)
+        if out is None:
+            out = self._pair_keys[r] = tuple([
+                (*self._pair_parts(s), q)
+                for s, q in self._masked[r] if q])
+        return out
+
+    def _pair_parts(self, s: Name) -> tuple:
+        """(c, d) when s spells op(c, d), else (None, s)."""
+        top = self.t._top_mask
+        masked = self._masked
+        outer = masked[s]
+        if len(outer) <= 2 and all(w == top for _, w in outer):
+            inner = sorted([masked[x] for x, _ in outer], key=len)
+            shape = [len(entries) for entries in inner]
+            if shape in ([1], [1, 2]) and all(
+                    w == top for entries in inner for _, w in entries):
+                c = inner[0][0][0]
+                if shape == [1]:
+                    return c, c
+                (x, _), (y, _) = inner[1]
+                if x is c or y is c:
+                    return c, y if x is c else x
+        return None, s
 
     def _bound_entries(self, term: Term, env: dict):
         """The masked entries a bounded quantifier ranges over; a subclass
@@ -512,27 +594,29 @@ def collection_value(it: Interpreter, a: Name, r: Name,
                      b: Name | None = None) -> FrameElement:
     """Forcing value of "r is a multi-valued function from a onto b", with
     pairs spelled as ordered-pair names inside r.  With b omitted the
-    target is the whole universe and only totality is measured."""
+    target is the whole universe and only totality is measured.  Each
+    [[op(x, y) in r]] compares x and y with the components of r's pair
+    keys, and builds no pair name unless r has a key that is no pair."""
     t = it.t
     nuclei, implies = t._mask_nuclei, tp._implies_mask
-    mem, pair = it._mem, it.op
+    pair_mem = it._pair_mem
     acc = t._top_mask
     if b is None:
         for x, px in it._masked[a]:
             hit = 0
             for y in it.u.names:
-                hit |= mem(pair(x, y), r)
+                hit |= pair_mem(x, y, r)
             acc &= implies(t, px, nuclei[hit])
         return t._as_set[acc]
     for x, px in it._masked[a]:
         hit = 0
         for y, qy in it._masked[b]:
-            hit |= qy & mem(pair(x, y), r)
+            hit |= qy & pair_mem(x, y, r)
         acc &= implies(t, px, nuclei[hit])
     for y, qy in it._masked[b]:
         hit = 0
         for x, px in it._masked[a]:
-            hit |= px & mem(pair(x, y), r)
+            hit |= px & pair_mem(x, y, r)
         acc &= implies(t, qy, nuclei[hit])
     return t._as_set[acc]
 
@@ -559,12 +643,12 @@ def strong_collection_witness(a: Name, r: Name, p: FrameElement,
         raise ValueError("p does not force totality of the relation on a")
     if not p:
         return EMPTY_NAME
-    mem, pair = it._mem, it.op
+    pair_mem = it._pair_mem
     pm = t._mask[p]
     collected: dict[Name, int] = {}
     for x, px in it._masked[a]:
         for y in u.names:
-            weight = pm & px & mem(pair(x, y), r)
+            weight = pm & px & pair_mem(x, y, r)
             if weight:
                 collected[y] = collected.get(y, 0) | weight
     return make_name((y, t._as_set[t._mask_nuclei[w]])

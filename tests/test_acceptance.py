@@ -5,6 +5,7 @@ single pass/fail line, and enforces a wall-clock limit.
 """
 
 import itertools
+import random
 import time
 
 from czfkit import checks, godel, hf, relations, topology as tp
@@ -231,6 +232,49 @@ def test_criterion_5_strong_collection_witness():
             break
     ok = ok and tried > 0
     _finish(5, "strong collection witness construction", ok, started, 120)
+
+
+def _collection_sample(t, a, shallow, rng):
+    """The relations of criterion 5 on a, each pair of a's key with a
+    depth-1 name weighted or left out: all of them when there are at most
+    81, as on the frames of at most 3 elements, else a seeded 32."""
+    slots = [op(x, y, t) for x in a.keys() for y in shallow]
+    weights = [None] + [p for p in tp.frame_elements(t) if p]
+    if len(weights) ** len(slots) <= 81:
+        combos = itertools.product(weights, repeat=len(slots))
+    else:
+        combos = ([rng.choice(weights) for _ in slots] for _ in range(32))
+    for combo in combos:
+        yield make_name((s, w) for s, w in zip(slots, combo) if w)
+
+
+def test_strong_collection_over_every_small_frame():
+    """The theorem of criterion 5 on every poset topology with at most 3
+    points: for each frame element p below the value of "r is total on a",
+    p forces r total from a onto the witness and back.  Universes of depth
+    1, and of depth 2 where that has at most 256 names; depth 2 on the
+    frames of 4 elements has 3125 names and is left out."""
+    rng = random.Random(5)
+    witnesses = 0
+    for t in _all_posets_up_to_3():
+        frames = tp.frame_elements(t)
+        shallow = name_universe(t, 1).names
+        depths = [1, 2] if len(shallow) ** len(shallow) <= 256 else [1]
+        for depth in depths:
+            u = name_universe(t, depth)
+            it = Interpreter(u)
+            for a in shallow:
+                if not any(p for _, p in a.entries):
+                    continue
+                for r in _collection_sample(t, a, shallow, rng):
+                    pre = collection_value(it, a, r)
+                    for p in frames:
+                        if p and p <= pre:
+                            b = strong_collection_witness(a, r, p, u, it)
+                            assert p <= collection_value(it, a, r, b), \
+                                (t.carrier, t.order, a, r, p)
+                            witnesses += 1
+    assert witnesses == 12483
 
 
 def _propositional_corpus(limit=100):

@@ -563,6 +563,225 @@ def test_collection_matches_reference(t):
     assert compared > 0
 
 
+# -- pair membership by components ------------------------------------------
+
+
+def _small_frames():
+    from test_acceptance import _all_posets_up_to_3
+    return [OMEGA] + _all_posets_up_to_3()
+
+
+def test_pair_equality_is_equality_of_components():
+    """[[op(a,b) = op(c,d)]] = [[a = c]] meet [[b = d]], the lemma
+    ``Interpreter._pair_mem`` rests on: every quadruple of depth-1 names on
+    every frame, and a seeded sample of depth-2 names on the 2-chain."""
+    pools = [(t, name_universe(t, 1).names) for t in _small_frames()]
+    pools.append((CHAIN, random.Random(28).sample(
+        name_universe(CHAIN, 2).names, 8)))
+    for t, pool in pools:
+        it = Interpreter(name_universe(t, 1))
+        pairs = {(a, b): op(a, b, t) for a in pool for b in pool}
+        for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+            assert it.eq(pairs[a, b], pairs[c, d]) == \
+                it.eq(a, c) & it.eq(b, d), (a, b, c, d)
+
+
+def _collection_value_op_building(it, a, r, b=None):
+    """collection_value as it was before pair membership compared
+    components: every pair name built by ``it.op`` and looked up by
+    ``it._mem``."""
+    t = it.t
+    nuclei, implies = t._mask_nuclei, tp._implies_mask
+    mem, pair = it._mem, it.op
+    acc = t._top_mask
+    if b is None:
+        for x, px in it._masked[a]:
+            hit = 0
+            for y in it.u.names:
+                hit |= mem(pair(x, y), r)
+            acc &= implies(t, px, nuclei[hit])
+        return t._as_set[acc]
+    for x, px in it._masked[a]:
+        hit = 0
+        for y, qy in it._masked[b]:
+            hit |= qy & mem(pair(x, y), r)
+        acc &= implies(t, px, nuclei[hit])
+    for y, qy in it._masked[b]:
+        hit = 0
+        for x, px in it._masked[a]:
+            hit |= px & mem(pair(x, y), r)
+        acc &= implies(t, qy, nuclei[hit])
+    return t._as_set[acc]
+
+
+def _witness_op_building(a, r, p, u, it):
+    """strong_collection_witness as it was before pair membership compared
+    components, for a p below the totality value."""
+    t = u.topology
+    if not p:
+        return EMPTY_NAME
+    mem, pair = it._mem, it.op
+    pm = t._mask[p]
+    collected = {}
+    for x, px in it._masked[a]:
+        for y in u.names:
+            weight = pm & px & mem(pair(x, y), r)
+            if weight:
+                collected[y] = collected.get(y, 0) | weight
+    return make_name((y, t._as_set[t._mask_nuclei[w]])
+                     for y, w in collected.items())
+
+
+def _compare_collection(it, ref, a, r):
+    """The totality value of r on a, then for every frame element p below
+    it the witness and the value both ways at the witness, each against the
+    op-building reference on its own interpreter ref.  Returns the number
+    of witnesses compared."""
+    u = it.u
+    pre = collection_value(it, a, r)
+    assert pre == _collection_value_op_building(ref, a, r), (a, r)
+    witnesses = 0
+    for p in frame_elements(it.t):
+        if p <= pre:
+            b = strong_collection_witness(a, r, p, u, it)
+            assert b is _witness_op_building(a, r, p, u, ref), (a, r, p)
+            assert collection_value(it, a, r, b) == \
+                _collection_value_op_building(ref, a, r, b), (a, r, p)
+            witnesses += 1
+    return witnesses
+
+
+def test_collection_matches_op_building_on_criterion_5_relations():
+    from test_acceptance import _collection_relations
+    relations = witnesses = 0
+    for t in [OMEGA, CHAIN]:
+        u = name_universe(t, 2)
+        it, ref = Interpreter(u), Interpreter(u)
+        shallow = name_universe(t, 1).names
+        for a in shallow:
+            for r in _collection_relations(t, a, shallow, frame_elements(t)):
+                witnesses += _compare_collection(it, ref, a, r)
+                relations += 1
+    assert (relations, witnesses) == (824, 2280)
+
+
+def _mixed_keys(t, c, d, rng):
+    """Keys for the pair of c and d, one of each kind: the pair name; a
+    pair with a token off the carrier added to a weight, which the
+    interpreter reads as the pair; near-pairs, with one weight below top or
+    an extra entry of empty weight; and names that are no pair."""
+    top = tp.top(t)
+    below = rng.choice([p for p in frame_elements(t) if p != top])
+    odd = top | {"zz"}
+    single, double = up(c, c, t), up(c, d, t)
+    keys = [
+        ("pair", op(c, d, t)),
+        ("pair", make_name([(make_name([(c, odd)]), top), (double, odd)])),
+        ("near", make_name([(make_name([(c, below)]), top), (double, top)])),
+        ("near", make_name([(single, top),
+                            (make_name([(c, top), (d, top),
+                                        (double, frozenset())]), top)])),
+        ("other", double),
+        ("other", make_name([(double, top)])),
+    ]
+    if c is d:
+        keys.append(("near", make_name([(single, below)])))
+    else:
+        other = up(d, d, t)
+        keys += [
+            ("near", make_name([(single, top), (double, below)])),
+            ("near", make_name([(single, top),
+                                (make_name([(c, top), (d, below)]), top)])),
+            ("near", make_name([(single, top), (double, top),
+                                (other, frozenset())])),
+            ("other", make_name([(single, top), (other, top)])),
+            ("other", make_name([(single, top), (up(double, d, t), top)])),
+        ]
+    return keys
+
+
+def test_pair_mem_matches_mem_of_the_built_pair():
+    """Each mixed key for c and d alone as a relation, on every frame,
+    against every pair of a depth-1 name and a depth-1 name, {c, d} or {d}:
+    the component comparison gives what membership of the built pair name
+    gives."""
+    rng = random.Random(28)
+    compared = 0
+    for t in _small_frames():
+        shallow = name_universe(t, 1).names
+        it = Interpreter(name_universe(t, 1))
+        for _ in range(4):
+            c, d = rng.choice(shallow), rng.choice(shallow)
+            seconds = list(shallow) + [up(c, d, t), up(d, d, t)]
+            for _, s in _mixed_keys(t, c, d, rng):
+                r = make_name([(s, rng.choice(frame_elements(t)[1:]))])
+                for a, b in itertools.product(shallow, seconds):
+                    assert it._pair_mem(a, b, r) == \
+                        it._mem(op(a, b, t), r), (a, b, s)
+                    compared += 1
+    assert compared > 10000
+
+
+def test_collection_matches_op_building_on_mixed_keys():
+    """Seeded relations over every frame whose keys mix pair names,
+    near-pairs and names that are no pair, on depth-1 universes; a ranges
+    over the inhabited depth-1 names and two-key depth-2 names."""
+    rng = random.Random(28)
+    kinds = {"pair": 0, "near": 0, "other": 0}
+    relations = witnesses = 0
+    for t in _small_frames():
+        u = name_universe(t, 1)
+        shallow = u.names
+        frames = frame_elements(t)
+        firsts = [n for n in shallow if any(p for _, p in n.entries)]
+        firsts += [make_name([(x, rng.choice(frames[1:])),
+                              (y, rng.choice(frames[1:]))])
+                   for x, y in rng.sample(
+                       list(itertools.combinations(shallow, 2)), 2)]
+        it, ref = Interpreter(u), Interpreter(u)
+        for a in firsts:
+            for _ in range(3):
+                entries = {}
+                for x in a.keys():
+                    for y in shallow:
+                        c = x if rng.random() < 0.8 else rng.choice(shallow)
+                        kind, key = rng.choice(_mixed_keys(t, c, y, rng))
+                        w = rng.choice(frames[1:] + [None])
+                        if w is not None and key not in entries:
+                            entries[key] = w
+                            kinds[kind] += 1
+                witnesses += _compare_collection(it, ref, a,
+                                                 make_name(entries.items()))
+                relations += 1
+    assert min(kinds.values()) > 100, kinds
+    assert witnesses > relations > 0
+
+
+def test_pair_membership_builds_pairs_only_for_keys_that_are_no_pair(
+        monkeypatch):
+    built = []
+
+    def counting_op(a, b, t):
+        built.append((a, b))
+        return op(a, b, t)
+
+    u = u_omega(2)
+    shallow = u_omega(1).names
+    a = check_name(ONE, OMEGA)
+    r = make_name((op(EMPTY_NAME, y, OMEGA), TOP) for y in shallow)
+    monkeypatch.setattr(names, "op", counting_op)
+    it = Interpreter(u)
+    assert collection_value(it, a, r) == TOP
+    b = strong_collection_witness(a, r, TOP, u, it)
+    assert collection_value(it, a, r, b) == TOP
+    assert built == []
+    # {{}} is the unordered pair of {} with itself, no ordered pair
+    r = make_name([(up(EMPTY_NAME, EMPTY_NAME, OMEGA), TOP)])
+    assert collection_value(it, a, r) == \
+        _collection_value_op_building(Interpreter(u), a, r)
+    assert built
+
+
 # -- early exits in eq and mem ----------------------------------------------
 
 

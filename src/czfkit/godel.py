@@ -16,7 +16,11 @@ schedules its distinct nodes once, children first, as a straight-line
 program of functions from _OPS (operation symbol -> function on normal
 forms) over registers, stored on the term; each call runs it in one loop,
 so each shared subterm is evaluated once per call and depth costs no
-recursion.  The program holds no set: nothing outlives the call.
+recursion.  The program holds no set: nothing outlives the call.  Four
+shapes of the compiler run as one step each (see _step): conjunction,
+disjunction, the bounded universal cap(P, forall(s, B)), which intersects
+the sections of s as sets of normal forms, and the swap of a membership
+relation, one pass over the relation.
 """
 
 from __future__ import annotations
@@ -285,13 +289,29 @@ def _nf_imp(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
     return x - (call.members(p[0]) - call.members(p[1]))
 
 
-def _nf_forall(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
-    # {x"{z} | z in y}, grouping x's pairs by first coordinate once
+def _image(x: frozenset) -> dict:
+    """x's pairs grouped by first coordinate: z -> the members of x"{z}."""
     image: dict = {}
     for e in x:
         if type(e) is tuple:
             image.setdefault(e[0], []).append(e[1])
+    return image
+
+
+def _nf_forall(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
+    # {x"{z} | z in y}, grouping x's pairs by first coordinate once
+    image = _image(x)
     return frozenset([call.element(frozenset(image.get(z, ()))) for z in y])
+
+
+def _nf_capall(call: _Eval, x: frozenset, s: frozenset,
+               y: frozenset) -> frozenset:
+    # x cap bigcap forall(s, y) = x cap bigcap {s"{z} | z in y}, with the
+    # sections kept as members, never made into sets; an empty y leaves x
+    image = _image(s)
+    for z in y:
+        x = x.intersection(image.get(z, ()))
+    return x
 
 
 def _nf_dom(call: _Eval, x: frozenset, _: frozenset) -> frozenset:
@@ -320,46 +340,71 @@ def _nf_mem(call: _Eval, x: frozenset, y: frozenset) -> frozenset:
     return frozenset([(v, u) for v in y for u in call.members(v) & x])
 
 
-# fundamental_op on normal-form values, one entry per symbol, plus the two
-# shapes that a program runs whole (see _operands): inter(x, y, z) =
-# x cap y cap z and union(y, z) = y cup z.  Each entry takes the call and
-# the argument values.
+def _nf_swap(call: _Eval, r: frozenset, a: frozenset,
+             b: frozenset) -> frozenset:
+    # the value of _swap(r, a, b), in one pass over r
+    return frozenset([(e[1], e[0]) for e in r
+                      if type(e) is tuple and e[0] in a and e[1] in b])
+
+
+# fundamental_op on normal-form values, one entry per symbol, plus the four
+# shapes that a program runs whole (see _step).  Each entry takes the call
+# and the argument values.
 _OPS = {
     "p": _nf_p, "cap": _nf_cap, "cup": _nf_cup, "diff": _nf_diff,
     "times": _nf_times, "imp": _nf_imp, "forall": _nf_forall,
     "dom": _nf_dom, "ran": _nf_ran, "123": _nf_123, "132": _nf_132,
     "eq": _nf_eq, "mem": _nf_mem, "inter": _nf_inter, "union": _nf_union,
+    "capall": _nf_capall, "swap": _nf_swap,
 }
 
 
-_FUSED = {"cap": "inter", "cup": "union"}
+def _step(u: App) -> tuple[str, tuple]:
+    """The entry of _OPS that runs u, and the operands it reads.  Four
+    shapes run whole, and the nodes inside them run only if another node
+    reads them:
+    - cap(x, p(y, z)) reads x, y, z as inter, x cap y cap z;
+    - cup(p(y, z)) reads y, z as union, y cup z;
+    - cap(x, forall(s, y)) reads x, s, y as capall;
+    - ran(cap(123(r, a), p(S, S)), _) with S = 132(eq(a, a), b), the term
+      of _swap, reads r, a, b as swap, {<v, u> | <u, v> in r, u in a,
+      v in b}.
+    Each identity holds for every operand value, so the shapes need not
+    come from the compiler."""
+    match u:
+        case App("cap", (x, App("p", (y, z)))):
+            return "inter", (x, y, z)
+        case App("cup", (App("p", (y, z)),)):
+            return "union", (y, z)
+        case App("cap", (x, App("forall", (s, y)))):
+            return "capall", (x, s, y)
+        case App("ran", (App("cap", (
+                App("123", (r, a)),
+                App("p", (App("132", (App("eq", (a1, a2)), b)) as s1, s2)),
+                )), _)) if a1 is a and a2 is a and s1 is s2:
+            return "swap", (r, a, b)
+    return u.op, u.args
 
 
 def _operands(u: OpTerm) -> tuple:
-    """u's children as its step reads them: cap(x, p(y, z)) reads x, y, z
-    as inter, cup(p(y, z)) reads y, z as union, and the p is not run."""
-    a = u.args
-    if isinstance(u, App) and u.op in _FUSED and isinstance(a[-1], App) \
-            and a[-1].op == "p":
-        return (*a[:-1], *a[-1].args)
-    return a
+    return u.args if isinstance(u, Arg) else _step(u)[1]
 
 
 def _schedule(t: App) -> tuple[int, tuple]:
     """(m, steps): t as a program over registers, where 0..m-1 hold the
     arguments #1..#m and m + k the value of step k.  A step (f, i, j, k)
-    applies f, the entry of _OPS for one node, to its operands' registers,
-    None filling the places of missing ones.  One fold over the distinct
-    nodes, operands first, orders the steps, so the last one computes t.
-    The program depends on t alone: it holds functions and ints, no set."""
+    applies f, the entry of _OPS for one node (see _step), to its
+    operands' registers, None filling the places of missing ones.  One
+    fold over the distinct nodes, operands first, orders the steps, so the
+    last one computes t.  The program depends on t alone: it holds
+    functions and ints, no set."""
     m = max_placeholder(t)
     steps: list = []
 
     def node(u: OpTerm, regs: list) -> int:
         if isinstance(u, Arg):
             return u.index - 1
-        op = u.op if len(regs) == len(u.args) else _FUSED[u.op]
-        steps.append((_OPS[op], *regs, *(None,) * (3 - len(regs))))
+        steps.append((_OPS[_step(u)[0]], *regs, *(None,) * (3 - len(regs))))
         return m + len(steps) - 1
 
     unique.fold(t, _operands, node)

@@ -185,6 +185,21 @@ def _collection_relations(t, a, shallow, frames):
         yield make_name(entries)
 
 
+def _witness_of_built_pairs(a, r, p, u, it):
+    """The witness of strong collection from [[op(x, y) in r]] asked of
+    the built pair name (it.op builds op(x, y, t) once per interpreter):
+    each y in the universe weighted by the saturated join over a's entries
+    (x, px) of p meet px meet [[op(x, y) in r]]."""
+    t = u.topology
+    collected = {}
+    for x, px in a.entries:
+        for y in u.names:
+            w = p & px & it.mem(it.op(x, y), r)
+            if w:
+                collected[y] = collected.get(y, frozenset()) | w
+    return make_name((y, tp.nucleus(t, w)) for y, w in collected.items())
+
+
 def test_criterion_5_strong_collection_witness():
     started = time.monotonic()
     ok = True
@@ -221,7 +236,8 @@ def test_criterion_5_strong_collection_witness():
                         continue
                     b = strong_collection_witness(a, r, p, u, it)
                     tried += 1
-                    if not p <= collection_value(it, a, r, b):
+                    if not p <= collection_value(it, a, r, b) or \
+                            b is not _witness_of_built_pairs(a, r, p, u, it):
                         ok = False
                         break
                 if not ok:

@@ -12,7 +12,7 @@ from czfkit.godel import (
     App, Arg, CompileError, compile_bounded, def_stage, eval_opterm,
     fundamental_op, hereditary_add, l_stage, max_placeholder, opterm_render,
 )
-from czfkit.hf import EMPTY, hfset, kpair, parse_hf
+from czfkit.hf import EMPTY, HFSet, hfset, kpair, parse_hf
 from czfkit.semantics import comprehension
 
 
@@ -202,13 +202,34 @@ def test_eval_matches_reference():
         eval_opterm(Arg(2), [EMPTY])
 
 
+def _swap_reference(r, a, b):
+    """The value of the compiler's _swap(r, a, b), by fundamental_op."""
+    shape = fundamental_op("132", [fundamental_op("eq", [a, a]), b])
+    rel = fundamental_op("123", [r, a])
+    return fundamental_op("ran", [fundamental_op("cap", [rel, hfset(shape)]),
+                                  EMPTY])
+
+
+def _capall_reference(x, s, y):
+    return fundamental_op("cap", [x, fundamental_op("forall", [s, y])])
+
+
 def test_ops_on_normal_forms_match_fundamental_op():
-    """Every operation, and the conjunction and disjunction shapes that the
-    evaluator reads whole, on normal-form values against fundamental_op."""
+    """Every operation, and the shapes that the evaluator reads whole
+    (conjunction, disjunction, bounded universal and swap), on normal-form
+    values against fundamental_op."""
     square = hf.product(hf.v_stage(2), hf.v_stage(2))
-    pool = list(hf.v_stage(4)) + [square, hfset(kpair(EMPTY, EMPTY))]
+    # pairs off every square of small sets, and members that are no pair
+    mixed = hf.binary_union(hf.product(hf.v_stage(3), hf.v_stage(1)),
+                            hfset(EMPTY, hfset(EMPTY, ONE)))
+    # every section z"{z} a pair: <z, {}> for z in V_2
+    sections = HFSet(kpair(z, w) for z in hf.v_stage(2)
+                     for w in kpair(z, EMPTY))
+    pool = list(hf.v_stage(4)) + [square, hfset(kpair(EMPTY, EMPTY)), mixed,
+                                  sections]
     call = godel._Eval([])
-    assert set(godel._OPS) == {*godel.OP_SYMBOLS, "inter", "union"}
+    assert set(godel._OPS) == {*godel.OP_SYMBOLS, "inter", "union", "capall",
+                               "swap"}
 
     def apply(symbol, *sets):
         values = [call.set_in(s) for s in sets]
@@ -223,6 +244,16 @@ def test_ops_on_normal_forms_match_fundamental_op():
         for z in (x, y, square):
             assert apply("inter", x, y, z) \
                 is fundamental_op("cap", [x, hfset(y, z)])
+        for z in pool:
+            assert apply("capall", x, y, z) is _capall_reference(x, y, z)
+            assert apply("swap", x, y, z) is _swap_reference(x, y, z)
+    assert apply("capall", square, square, EMPTY) is square
+    # the sections by {} and {{}} are <{}, {}> = {{{}}} and <{{}}, {}>
+    assert apply("capall", hf.v_stage(4), sections, hf.v_stage(1)) \
+        is hfset(ONE)
+    assert apply("capall", hf.v_stage(4), sections, hf.v_stage(2)) is EMPTY
+    assert apply("swap", mixed, hf.v_stage(2), hf.v_stage(1)) \
+        is hfset(kpair(EMPTY, EMPTY), kpair(EMPTY, ONE))
 
 
 def test_eval_memo_is_scoped_to_one_call():
@@ -248,17 +279,39 @@ def test_eval_applies_each_node_once(monkeypatch):
             return args[u.index - 1]
         nodes.add(id(u))
         last = u.args[-1]
-        if u.op in ("cap", "cup") and isinstance(last, App) and last.op == "p":
+        inner = last.op if isinstance(last, App) else None
+        if (u.op, inner) in (("cap", "p"), ("cup", "p"), ("cap", "forall")):
             # cap(x, p(y, z)) is inter(x, y, z); cup(p(y, z)) is union(y, z);
-            # the p node itself is not evaluated
+            # cap(x, forall(s, y)) is capall(x, s, y); the inner node itself
+            # is not evaluated
             values = [walk(a) for a in (*u.args[:-1], *last.args)]
-            op = "inter" if u.op == "cap" else "union"
-            value = fundamental_op(u.op, [*values[:-2], hfset(*values[-2:])])
+            op = {("cap", "p"): "inter", ("cup", "p"): "union",
+                  ("cap", "forall"): "capall"}[u.op, inner]
+            value = fundamental_op(u.op, [
+                *values[:-2], fundamental_op(inner, values[-2:])])
+        elif u.op == "ran" and (operands := swapped(u.args[0])):
+            # the compiler's _swap(r, a, b) is swap(r, a, b); its cap, 123,
+            # p, 132 and eq nodes are not evaluated
+            values = [walk(a) for a in operands]
+            op, value = "swap", _swap_reference(*values)
         else:
             values = [walk(a) for a in u.args]
             op, value = u.op, fundamental_op(u.op, values)
         tree.append((op, *values))
         return value
+
+    def swapped(x):
+        """(r, a, b) if x is cap(123(r, a), p(S, S)) with S the node
+        132(eq(a, a), b), else None."""
+        def op(u):
+            return getattr(u, "op", None)
+        if op(x) != "cap" or [*map(op, x.args)] != ["123", "p"]:
+            return None
+        (r, a), (s, s2) = x.args[0].args, x.args[1].args
+        if s is s2 and op(s) == "132" and op(s.args[0]) == "eq" \
+                and all(e is a for e in s.args[0].args):
+            return r, a, s.args[1]
+        return None
 
     want = walk(t)
     calls = []
@@ -276,6 +329,75 @@ def test_eval_applies_each_node_once(monkeypatch):
     out = godel._Eval([]).set_out
     assert {(op, *map(out, values)) for op, *values in calls} == set(tree)
     assert len(calls) < len(tree)
+
+
+def _steps_of(t, symbol):
+    """How many steps of t's program run the _OPS entry symbol."""
+    return sum(fn is godel._OPS[symbol] for fn, *_ in t._program[1])
+
+
+def test_quantified_atoms_run_swap_and_capall_steps():
+    """Each bounded all runs as one capall step, and each membership whose
+    member is the later variable (the quantifier's guard y1 in xk among
+    them) as one swap step, so that neither fast path can be lost without
+    notice."""
+    for scope in (["x1"], ["x1", "x2"]):
+        index = {v: i for i, v in enumerate([*scope, "y1"], 1)}
+        for f in _quantified_atoms(scope):
+            atom = f.body
+            swaps = 1 + (isinstance(atom, Mem) and isinstance(atom.left, Var)
+                         and isinstance(atom.right, Var)
+                         and index[atom.left.name] > index[atom.right.name])
+            t = compile_bounded(f, len(scope))
+            assert _steps_of(t, "swap") == swaps, f
+            assert _steps_of(t, "capall") == isinstance(f, BoundedAll), f
+            assert _steps_of(t, "forall") == 0, f
+
+
+def test_fused_shapes_whose_inner_nodes_are_used_elsewhere():
+    """A node inside a swap or capall shape that another node reads runs as
+    its own step too, and every value is the tree walk's; so do shapes that
+    miss the swap by one node."""
+    r, a, b = Arg(1), Arg(2), Arg(3)
+
+    def app(op, *args):
+        return App(op, args)
+
+    def union(x, y):
+        return app("cup", app("p", x, y))
+
+    diag = app("eq", a, a)
+    shape = app("132", diag, b)
+    rel = app("123", r, a)
+    family = app("p", shape, shape)
+    meet = app("cap", rel, family)
+    swap = app("ran", meet, r)
+    inside = [diag, shape, rel, family, meet]
+    sections = app("forall", r, b)
+    capall = app("cap", a, sections)
+    terms = [swap, capall, app("cap", capall, sections),
+             app("diff", swap, app("ran", meet, b)),
+             union(app("cap", a, app("forall", swap, b)), capall)]
+    terms += [union(swap, u) for u in inside]
+    terms += [union(capall, sections), app("times", sections, capall)]
+    # a diagonal over another a, one 132 node in p's first place and
+    # another in its second: not swap shapes
+    terms += [app("ran", app("cap", rel, app("p", s, s)), r)
+              for s in (app("132", app("eq", a, b), b),
+                        app("132", app("eq", Arg(2), Arg(2)), b))]
+    terms.append(app("ran", app("cap", rel, app("p", shape,
+                                                app("132", diag, b))), r))
+    assert [_steps_of(t, "swap") for t in terms] \
+        == [1, 0, 0, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+    assert [_steps_of(t, "capall") for t in terms] \
+        == [0, 1, 2, 0, 2, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]
+    square = hf.product(hf.v_stage(2), hf.v_stage(2))
+    pool = [*hf.v_stage(3), square,
+            hf.binary_union(square, hf.v_stage(2))]
+    for t in terms:
+        for args in itertools.product(pool, repeat=3):
+            assert eval_opterm(t, list(args)) \
+                is _eval_reference(t, list(args)), t
 
 
 def _fold_reference(t, leaf, node):

@@ -4,8 +4,10 @@ Formulas are produced in depth-increasing order from a fixed grammar: atoms
 over the variables in scope, the binary connectives, and bounded quantifiers
 whose bound is any variable in scope.  Full enumeration explodes after depth
 two, so each call takes a hard cap and truncates the stream at that point;
-within the cap the order is reproducible across runs.  Duplicates modulo
-renaming of bound variables are dropped.
+within the cap the order is reproducible across runs.  The formulas are
+distinct up to renaming of bound variables by construction: a bound
+variable is named by its scope depth, and level d holds formulas of exact
+depth d built from distinct parts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 
 from .formula import (
     And, BoundedAll, BoundedEx, Eq, Falsum, Formula, Imp, Lit, Mem, Or, Var,
-    alpha_canonical,
 )
 from . import hf
 
@@ -66,14 +67,4 @@ def bounded_formulas(free_count: int, max_depth: int, limit: int = 250,
     first, distinct up to bound-variable renaming."""
     scope = tuple(f"x{i + 1}" for i in range(free_count))
     levels = _grow(scope, max_depth, limit, include_literals)
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-    for lvl in levels:
-        for f in lvl:
-            key = alpha_canonical(f)
-            if key not in seen:
-                seen.add(key)
-                out.append(f)
-                if len(out) >= limit:
-                    return out
-    return out
+    return list(itertools.islice(itertools.chain.from_iterable(levels), limit))

@@ -615,9 +615,16 @@ def _arg_tuples(a: HFSet, symbol: str):
     return ([x, y] for x in elems for y in elems)
 
 
+def _check_naturals(**values: int):
+    for name, n in values.items():
+        if n < 0:
+            raise ValueError(f"{name} must be a natural number")
+
+
 def expand(a: HFSet, max_size: int) -> HFSet:
     """a plus every fundamental-operation value on argument tuples from a;
     BudgetExceeded as soon as that holds more than max_size elements."""
+    _check_naturals(max_size=max_size)
     out = set(a)
     for symbol in OP_SYMBOLS:
         for args in _arg_tuples(a, symbol):
@@ -633,34 +640,27 @@ def define_step(a: HFSet, max_size: int) -> HFSet:
 
 
 def def_stage(a: HFSet, k: int, max_size: int = 4096) -> HFSet:
-    """Union of the first k definability iterates (truncation of the full
-    omega-union)."""
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    acc = a
-    cur = a
+    """The union of the first k definability iterates of a (a truncation of
+    the full omega-union).  As expand(x) contains x, the iterates only grow,
+    so the union is the k-th iterate, and expand has checked its size."""
+    _check_naturals(k=k, max_size=max_size)
     for _ in range(k):
-        cur = define_step(cur, max_size)
-        acc = hf.binary_union(acc, cur)
-        if len(acc) > max_size:
-            raise BudgetExceeded(f"stage exceeds {max_size} elements")
-    return acc
+        a = define_step(a, max_size)
+    return a
 
 
 def l_stage(alpha: int, k: int, max_size: int = 4096) -> HFSet:
     """Truncated constructible stage: union over beta < alpha of the
-    truncated definability closure of the previous stage."""
+    truncated definability closure of the previous stage.  Stage n + 1 is
+    stage n joined with def_stage(stage n), which contains it, so stage
+    alpha is the (alpha * k)-th iterate of define_step from the empty set,
+    and expand has checked its size."""
     if alpha < 0:
         raise ValueError("finite ordinals only")
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    # Stage n is the union over beta < n, so stage n + 1 is stage n joined
-    # with the closure of stage n: one closure per level.
+    _check_naturals(k=k, max_size=max_size)
     stage = EMPTY
     for _ in range(alpha):
-        stage = hf.binary_union(stage, def_stage(stage, k, max_size))
-        if len(stage) > max_size:
-            raise BudgetExceeded(f"stage exceeds {max_size} elements")
+        stage = def_stage(stage, k, max_size)
     return stage
 
 

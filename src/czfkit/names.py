@@ -131,23 +131,17 @@ class NameUniverse:
 
 def name_universe(t: FormalTopology, depth: int,
                   max_count: int = 100000) -> NameUniverse:
-    """All names over t of the given depth or less."""
-    frames = tp.frame_elements(t)
+    """All names over t of the given depth or less, each built once."""
+    weights = [None, *tp.frame_elements(t)]  # None: no entry for the key
     current: list[Name] = [EMPTY_NAME]
     for _ in range(depth):
-        per_key = len(frames) + 1
-        total = per_key ** len(current)
+        total = len(weights) ** len(current)
         if total > max_count:
             raise BudgetExceeded(
                 f"{total} names at the next depth exceed {max_count}")
-        nxt = []
-        for combo in itertools.product(range(per_key), repeat=len(current)):
-            entries = [(current[i], frames[c - 1])
-                       for i, c in enumerate(combo) if c > 0]
-            nxt.append(make_name(entries))
-        current = nxt
-    ordered = sorted(set(current), key=serialize_name)
-    return NameUniverse(t, depth, tuple(ordered))
+        current = [make_name(e for e in zip(current, ws) if e[1] is not None)
+                   for ws in itertools.product(weights, repeat=len(current))]
+    return NameUniverse(t, depth, tuple(sorted(current, key=serialize_name)))
 
 
 def check_name(x: HFSet, t: FormalTopology) -> Name:

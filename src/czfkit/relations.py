@@ -31,16 +31,11 @@ class MVRelation:
 
 def is_mv(r: MVRelation, direction: Direction = Direction.FORWARD) -> bool:
     """Forward: total on the domain with values in the codomain; both adds
-    that every codomain element is hit."""
-    dom = {x for x, _ in r.pairs}
+    that every codomain element is hit.  Each is a set inclusion."""
     ran = {y for _, y in r.pairs}
-    if not all(x in dom for x in r.domain):
-        return False
-    if not all(y in r.codomain for y in ran):
-        return False
-    if direction is Direction.BOTH:
-        return all(any(y == b for y in ran) for b in r.codomain)
-    return True
+    return ({x for x, _ in r.pairs}.issuperset(r.domain)
+            and ran.issubset(r.codomain)
+            and (direction is not Direction.BOTH or ran.issuperset(r.codomain)))
 
 
 def adjust_mv(r: MVRelation) -> MVRelation:

@@ -224,28 +224,24 @@ def leq(t: FormalTopology, p: FrameElement, q: FrameElement) -> bool:
 
 
 def from_poset(elements, order_pairs) -> FormalTopology:
-    """The topology of a poset: covering is membership in the down-set."""
+    """The topology of a poset: covering is membership in the down-set.
+    The order is closed by Warshall's algorithm, one pass per point."""
     elements = tuple(elements)
-    order = set(order_pairs)
-    for a in elements:
-        order.add((a, a))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(order), repeat=2):
-            if b == c and (a, d) not in order:
-                order.add((a, d))
-                changed = True
-    for a, b in order:
-        if a != b and (b, a) in order:
+    above = {a: {a} for a in elements}
+    for a, b in order_pairs:
+        above.setdefault(a, set()).add(b)
+    for k in above:  # a point with nothing above it is inside no path
+        for up in above.values():
+            if k in up:
+                up |= above[k]
+    for a, b in itertools.combinations(above, 2):
+        if b in above[a] and a in above[b]:
             raise TopologyError(f"not antisymmetric: {a} and {b}")
-    cover = {}
-    for r in range(len(elements) + 1):
-        for combo in itertools.combinations(elements, r):
-            p = frozenset(combo)
-            for a in elements:
-                cover[(a, p)] = any((a, c) in order for c in p)
-    return FormalTopology(elements, frozenset(order), cover)
+    cover = {(a, frozenset(p)): not above[a].isdisjoint(p)
+             for r in range(len(elements) + 1)
+             for p in itertools.combinations(elements, r) for a in elements}
+    return FormalTopology(elements, frozenset(
+        (a, b) for a, up in above.items() for b in up), cover)
 
 
 def omega() -> FormalTopology:
@@ -255,10 +251,7 @@ def omega() -> FormalTopology:
     membership and the frame is the two-element Boolean algebra.
     """
     token = "0"
-    cover = {
-        (token, frozenset()): False,
-        (token, frozenset([token])): True,
-    }
+    cover = {(token, frozenset([token])): True}  # every other row is false
     return FormalTopology((token,), frozenset([(token, token)]), cover)
 
 

@@ -289,6 +289,7 @@ def test_strong_collection_over_every_small_frame():
                             b = strong_collection_witness(a, r, p, u, it)
                             assert p <= collection_value(it, a, r, b), \
                                 (t.carrier, t.order, a, r, p)
+                            assert b is _witness_of_built_pairs(a, r, p, u, it)
                             witnesses += 1
     assert witnesses == 12483
 

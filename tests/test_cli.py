@@ -72,6 +72,20 @@ def test_hierarchy(capsys):
     assert out_of(capsys) == "false\n"
 
 
+def test_out_of_range_level_and_arity_exit_2(capsys):
+    assert run(["hierarchy", "x = x", "--side", "sigma",
+                "--level", "-1"]) == 2
+    assert capsys.readouterr().err == "error: level must be nonnegative\n"
+    assert run(["compile", "x1 = x1", "--arity", "0"]) == 2
+    assert capsys.readouterr().err == "error: arity must be at least 1\n"
+
+
+def test_assignment_without_equals_sign_exits_2(capsys):
+    assert run(["hf-sat", "x = x", "--universe", "{}", "--env", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad assignment 'x', expected var=value\n")
+
+
 def test_compile(capsys):
     assert run(["compile", "x1 = x1", "--arity", "1"]) == 0
     assert out_of(capsys) == "#1\n"

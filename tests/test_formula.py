@@ -72,6 +72,15 @@ def test_syntax_errors_have_position():
         parse("")
 
 
+def test_syntax_errors_name_what_is_missing():
+    for text, message in [("all x in y x = x", "expected '.' at position 11"),
+                          ("(x = x", "expected ')' at position 6"),
+                          ("x = x )", "trailing input at position 6")]:
+        with pytest.raises(FormulaSyntaxError) as e:
+            parse(text)
+        assert str(e.value) == message
+
+
 def test_render_parse_identity_on_examples():
     texts = [
         "false",

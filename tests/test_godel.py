@@ -87,6 +87,19 @@ def test_arity_errors():
         fundamental_op("p", [EMPTY])
 
 
+def test_input_errors_name_what_is_wrong():
+    with pytest.raises(ValueError, match="^unknown operation 'nope'$"):
+        fundamental_op("nope", [EMPTY])
+    with pytest.raises(ValueError, match="^argument indices start at 1$"):
+        Arg(0)
+    with pytest.raises(ValueError, match="^unknown operation 'nope'$"):
+        App("nope", ())
+    with pytest.raises(ValueError, match="^operation 'p' arity mismatch$"):
+        App("p", (Arg(1),))
+    with pytest.raises(CompileError, match="^arity must be at least 1$"):
+        compile_bounded(parse("x1 = x1"), 0)
+
+
 def test_opterm_eval_and_render():
     t = App("p", (Arg(1), Arg(1)))
     assert eval_opterm(t, [EMPTY]) == ONE
@@ -631,6 +644,18 @@ def test_stages_reject_negative_arguments():
         l_stage(-1, 1)
     for stage in (lambda: l_stage(0, -1), lambda: def_stage(EMPTY, -1)):
         with pytest.raises(ValueError, match="^k must be a natural number$"):
+            stage()
+
+
+def test_stages_reject_negative_budgets():
+    for stage in (lambda: godel.expand(EMPTY, -1),
+                  lambda: def_stage(EMPTY, 0, -1),
+                  lambda: def_stage(ONE, 2, -1),
+                  lambda: l_stage(0, 0, -1),
+                  lambda: l_stage(1, 0, -1),
+                  lambda: l_stage(2, 1, -1)):
+        with pytest.raises(ValueError,
+                           match="^max_size must be a natural number$"):
             stage()
 
 

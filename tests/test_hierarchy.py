@@ -27,6 +27,12 @@ def test_bounded_is_level_zero():
     assert levels("false") == (0, 0)
 
 
+def test_negative_level_is_rejected():
+    for side in Side:
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            in_level(parse("x in y"), side, -1)
+
+
 def test_unbounded_exists():
     f = parse("ex x. x in y")
     assert in_level(f, Side.SIGMA, 1)

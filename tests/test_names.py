@@ -46,6 +46,20 @@ def test_make_name_sorts_and_dedups():
     assert serialize_name(n) == "(()->{0})"
 
 
+def test_name_repr_shows_its_serialization():
+    assert repr(check_name(ONE, OMEGA)) == "Name(()->{0})"
+    assert repr(EMPTY_NAME) == "Name()"
+
+
+def test_name_universes_hold_each_name_once():
+    for t, depth in [(OMEGA, 0), (OMEGA, 1), (OMEGA, 2),
+                     (CHAIN, 1), (CHAIN, 2)]:
+        u = name_universe(t, depth)
+        assert len(set(u.names)) == len(u.names)
+        assert [serialize_name(n) for n in u.names] == sorted(
+            serialize_name(n) for n in u.names)
+
+
 def test_check_name_structure():
     assert check_name(EMPTY, OMEGA) == EMPTY_NAME
     n = check_name(ONE, OMEGA)
@@ -210,6 +224,12 @@ def test_witness_requires_precondition():
     a = check_name(ONE, OMEGA)
     with pytest.raises(ValueError):
         strong_collection_witness(a, EMPTY_NAME, TOP, u)
+
+
+def test_powerset_name_budget():
+    with pytest.raises(hf.BudgetExceeded,
+                       match="^2 candidate subsets exceed 1$"):
+        powerset_name(check_name(ONE, OMEGA), u_omega(2), max_count=1)
 
 
 def test_powerset_name():

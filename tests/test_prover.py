@@ -273,6 +273,20 @@ def test_check_derivation_cut():
     assert check_derivation(cut, INT, allow_cut=True).ok
 
 
+def test_check_derivation_rejects_malformed_cuts():
+    a, b = parse("x = x"), parse("y = y")
+    one = Derivation("cut", Sequent.make([a], [a]),
+                     (Derivation("init", Sequent.make([a], [a, b]), ()),))
+    report = check_derivation(one, INT, allow_cut=True)
+    assert (report.ok, report.reason) == (False, "cut needs two premises")
+    swapped = Derivation("cut", Sequent.make([a], [a]),
+                         (Derivation("init", Sequent.make([a, b], [a]), ()),
+                          Derivation("init", Sequent.make([a], [a, b]), ())))
+    report = check_derivation(swapped, INT, allow_cut=True)
+    assert (report.ok, report.reason) == (
+        False, "premises do not match a cut on any formula")
+
+
 def test_cut_option_does_not_change_verdicts():
     for f in bounded_formulas(1, 2, limit=30):
         plain = prove_formula(f, INT).outcome

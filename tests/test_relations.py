@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -38,6 +39,38 @@ def test_is_mv_both():
     r2 = MVRelation(frozenset({(EMPTY, EMPTY), (EMPTY, ONE)}),
                     domain=ONE, codomain=TWO)
     assert is_mv(r2, Direction.BOTH)
+
+
+def _is_mv_scanning(r, direction=Direction.FORWARD):
+    """The reference: nested scans over the domain, range and codomain."""
+    dom = {x for x, _ in r.pairs}
+    ran = {y for _, y in r.pairs}
+    if not all(x in dom for x in r.domain):
+        return False
+    if not all(y in r.codomain for y in ran):
+        return False
+    if direction is Direction.BOTH:
+        return all(any(y == b for y in ran) for b in r.codomain)
+    return True
+
+
+def test_is_mv_matches_the_scanning_reference():
+    """Domains and codomains of at most two members of V_3; values range
+    over the codomain and one member of V_3 outside it, when there is one."""
+    v3 = list(hf.v_stage(3))
+    small = [hfset(*c) for n in range(3) for c in itertools.combinations(v3, n)]
+    seen = collections.Counter()
+    for domain, codomain in itertools.product(small, repeat=2):
+        values = list(codomain) + [x for x in v3 if x not in codomain][:1]
+        slots = list(itertools.product(domain, values))
+        for bits in range(1 << len(slots)):
+            r = MVRelation(frozenset(p for i, p in enumerate(slots)
+                                     if bits >> i & 1), domain, codomain)
+            for direction in Direction:
+                got = is_mv(r, direction)
+                assert got == _is_mv_scanning(r, direction), (r, direction)
+                seen[got] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_adjust_mv():

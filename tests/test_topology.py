@@ -113,6 +113,72 @@ def test_from_poset_rejects_cycles():
         from_poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def _from_poset_rescanning(elements, order_pairs):
+    """The reference: close the order by rescanning every pair of pairs
+    until nothing changes."""
+    elements = tuple(elements)
+    order = set(order_pairs) | {(a, a) for a in elements}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(order), repeat=2):
+            if b == c and (a, d) not in order:
+                order.add((a, d))
+                changed = True
+    for a, b in order:
+        if a != b and (b, a) in order:
+            raise TopologyError(f"not antisymmetric: {a} and {b}")
+    cover = {}
+    for r in range(len(elements) + 1):
+        for combo in itertools.combinations(elements, r):
+            for a in elements:
+                cover[(a, frozenset(combo))] = any((a, c) in order
+                                                   for c in combo)
+    return FormalTopology(elements, frozenset(order), cover)
+
+
+def _poset_outcome(build, elements, pairs):
+    """The topology, or the error with the tokens it names: with more than
+    one cycle, which pair the error names depends on iteration order."""
+    try:
+        return build(elements, pairs)
+    except TopologyError as e:
+        head, _, tokens = str(e).partition(": ")
+        return head, "cycle" if head == "not antisymmetric" else tokens
+
+
+def test_from_poset_matches_the_rescanning_reference():
+    cases = []
+    for n in range(5):
+        points = "abcd"[:n]
+        strict = [(a, b) for a in points for b in points if a != b]
+        for bits in range(1 << len(strict)):
+            cases.append((points, [p for i, p in enumerate(strict)
+                                   if bits >> i & 1]))
+    assert len(cases) == 4166
+    cases += [("a", [("a", "z")]), ("a", [("z", "y")]),
+              ("ab", [("a", "z"), ("z", "b"), ("b", "a")])]
+    for elements, pairs in cases:
+        assert _poset_outcome(from_poset, elements, pairs) == _poset_outcome(
+            _from_poset_rescanning, elements, pairs), (elements, pairs)
+
+
+def test_from_poset_names_the_first_cycle_in_carrier_order():
+    with pytest.raises(TopologyError, match="^not antisymmetric: b and c$"):
+        from_poset("abcd", [("a", "b"), ("c", "b"), ("b", "c"), ("d", "c")])
+    with pytest.raises(TopologyError, match="^not antisymmetric: a and b$"):
+        from_poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def test_topology_rejects_repeated_tokens_and_rows_off_the_carrier():
+    with pytest.raises(TopologyError,
+                       match="^carrier tokens must be distinct$"):
+        FormalTopology(("a", "a"), frozenset(), {})
+    for row in [("z", frozenset()), ("a", frozenset("z"))]:
+        with pytest.raises(TopologyError, match="^cover row off the carrier$"):
+            FormalTopology(("a",), frozenset(), {row: True})
+
+
 def test_presentation():
     t = chain2()
     fams = {a: frozenset(u for u in t.subsets() if t.covers(a, u)
@@ -147,6 +213,14 @@ def test_parse_topology_errors():
         parse_topology("carrier: a\nnonsense here\n")
     with pytest.raises(TopologyError):
         parse_topology("carrier: a\ncover: a | {a}\n")
+
+
+def test_parse_topology_bad_subset_comments_and_blank_lines():
+    with pytest.raises(TopologyError, match="^bad cover subset 'a'$"):
+        parse_topology("carrier: a\ncover: a <| a\n")
+    commented = ("# a chain\n\ncarrier: a b\n   \norder: a<=b\n"
+                 "# its covers\n" + render_topology(chain2()).split("\n", 2)[2])
+    assert parse_topology(commented) == chain2()
 
 
 def test_frame_element_text():

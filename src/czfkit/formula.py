@@ -25,14 +25,11 @@ import operator
 import re
 
 from . import unique
-from .hf import HFSet, _parse_hf_at, _skip_ws
+from .hf import HFSet, _ScanError, _Scanner
 
 
-class FormulaSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int | None = None):
-        super().__init__(message if pos is None
-                         else f"{message} at position {pos}")
-        self.pos = pos
+class FormulaSyntaxError(_ScanError):
+    """Malformed formula text; ``pos`` is where, when known."""
 
 
 # -- nodes -----------------------------------------------------------------
@@ -407,30 +404,8 @@ _VAR_RE = re.compile(r"[a-z][a-z0-9_']*")
 _CLASS_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> FormulaSyntaxError:
-        return FormulaSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        self.pos = _skip_ws(self.text, self.pos)
-
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.eat(s):
-            raise self.error(f"expected {s!r}")
+class _Parser(_Scanner):
+    Error = FormulaSyntaxError
 
     def peek_word(self) -> str | None:
         self.skip_ws()
@@ -451,13 +426,8 @@ class _Parser:
         return w
 
     def parse_term(self) -> Term:
-        self.skip_ws()
         if self.peek("{"):
-            try:
-                value, self.pos = _parse_hf_at(self.text, self.pos)
-            except ValueError as e:
-                raise FormulaSyntaxError(str(e)) from None
-            return Lit(value)
+            return Lit(self.hf_literal())
         return Var(self.parse_var())
 
     # precedence: -> (lowest, right-assoc) < | < & < unary/atom
@@ -506,7 +476,6 @@ class _Parser:
         return tuple(parts)
 
     def parse_atom(self) -> Formula:
-        self.skip_ws()
         if self.eat("("):
             inner = self.parse_formula()
             self.expect(")")

@@ -118,61 +118,107 @@ def hfset(*elems: HFSet) -> HFSet:
 
 
 # The largest rank of a literal parse_hf accepts: about what the recursive
-# parser it replaced reached under Python's default recursion limit.
+# parser it replaced reached under Python's default recursion limit.  The
+# scanner's bracket reader holds names to it too.
 MAX_PARSE_DEPTH = 1000
 
 
 def parse_hf(text: str) -> HFSet:
     """Parse the canonical brace notation, e.g. ``{{},{{}}}``.  Malformed
     input, and input of rank above MAX_PARSE_DEPTH, raise ValueError."""
-    s, pos = _parse_hf_at(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")
-    return s
+    sc = _Scanner(text)
+    return sc.whole(sc.hf_literal)
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+class _ScanError(ValueError):
+    """Malformed text.  With a position the message says where, followed
+    by ``shown``."""
+
+    def __init__(self, message: str, pos: int | None = None, shown: str = ""):
+        super().__init__(message if pos is None
+                         else f"{message} at position {pos}{shown}")
+        self.pos = pos
 
 
-def _parse_hf_at(text: str, pos: int) -> tuple[HFSet, int]:
-    """The set literal starting at pos and the position after it.  The
-    parser keeps the open sets on an explicit stack, so nesting depth is
-    not limited by recursion."""
-    end = len(text)
-    # members read so far of each set opened and not yet closed
-    open_sets: list[list[HFSet]] = []
-    while True:
-        if pos >= end or text[pos] != "{":
-            raise ValueError(f"expected '{{' at position {pos}")
-        pos = _skip_ws(text, pos + 1)
-        if pos >= end or text[pos] != "}":
-            if len(open_sets) == MAX_PARSE_DEPTH:
-                raise ValueError("nested too deeply")
-            open_sets.append([])  # its first member starts here
-            continue
-        s = EMPTY
-        pos += 1
-        # ``s`` has just closed: it is the whole literal, or a member of the
-        # innermost open set.
-        while open_sets:
-            open_sets[-1].append(s)
-            pos = _skip_ws(text, pos)
-            if pos >= end:
-                raise ValueError("unterminated set literal")
-            if text[pos] == ",":
-                pos = _skip_ws(text, pos + 1)
-                break  # the next member starts here
-            if text[pos] == "}":
-                s = HFSet(open_sets.pop())
-                pos += 1
+class _Scanner:
+    """Reads the text formats of the package (HF literals here, formulas in
+    ``formula``, names in ``names``) left to right from ``pos``, skipping
+    blanks before each token.  Malformed text raises ``Error``; a subclass
+    may name its own."""
+
+    Error = _ScanError
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> _ScanError:
+        return self.Error(message, self.pos)
+
+    def skip_ws(self):
+        text, pos, end = self.text, self.pos, len(self.text)
+        while pos < end and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+
+    def peek(self, s: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(s, self.pos)
+
+    def eat(self, s: str) -> bool:
+        if self.peek(s):
+            self.pos += len(s)
+            return True
+        return False
+
+    def expect(self, s: str):
+        if not self.eat(s):
+            raise self.error(f"expected {s!r}")
+
+    def whole(self, read):
+        """``read()``, which must take up the whole text but blanks."""
+        value = read()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.Error("trailing input", self.pos,
+                             f": {self.text[self.pos:]!r}")
+        return value
+
+    def nested(self, opener: str, closer: str, what: str, build, item=None):
+        """The structure at pos: ``opener``, comma-separated items and
+        ``closer``, where each item is again such a structure, its value
+        passed through ``item(self, value)`` when given.  ``build`` makes a
+        structure's value from the list of its items.  The open structures
+        are kept on an explicit stack, so nesting depth is not limited by
+        recursion; deeper than MAX_PARSE_DEPTH is an error."""
+        # items read so far of each structure opened and not yet closed
+        open_items: list[list] = []
+        while True:
+            self.expect(opener)
+            if not self.eat(closer):
+                if len(open_items) == MAX_PARSE_DEPTH:
+                    raise self.Error("nested too deeply")
+                open_items.append([])  # its first item starts here
                 continue
-            raise ValueError(f"expected ',' or '}}' at position {pos}")
-        else:
-            return s, pos
+            value = build(())
+            # ``value`` has just closed: it is the whole structure, or an
+            # item of the innermost open one.
+            while open_items:
+                open_items[-1].append(value if item is None
+                                      else item(self, value))
+                if self.eat(","):
+                    break  # the next item starts here
+                if self.eat(closer):
+                    value = build(open_items.pop())
+                    continue
+                if self.pos == len(self.text):
+                    raise self.Error(f"unterminated {what}")
+                raise self.error(f"expected ',' or {closer!r}")
+            else:
+                return value
+
+    def hf_literal(self) -> HFSet:
+        return self.nested("{", "}", "set literal", HFSet)
 
 
 # -- common constructions --------------------------------------------------

@@ -32,7 +32,7 @@ from .formula import (
     QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Steps, Term,
     distinct_subformulas,
 )
-from .hf import BudgetExceeded, HFSet, _skip_ws
+from .hf import BudgetExceeded, HFSet, _Scanner
 from .topology import FormalTopology, FrameElement
 
 
@@ -677,44 +677,22 @@ def subset_value(it: Interpreter, c: Name, a: Name) -> FrameElement:
 
 
 def parse_name(text: str) -> Name:
-    """Parses a serialized name.  The parser keeps the open names on an
-    explicit stack, so nesting depth is not limited by recursion."""
-    end = len(text)
-    pos = _skip_ws(text, 0)
-    # entries read so far of each name opened and not yet closed
-    open_names: list[list[tuple[Name, FrameElement]]] = []
-    while True:
-        if pos >= end or text[pos] != "(":
-            raise ValueError(f"expected '(' at position {pos}")
-        pos = _skip_ws(text, pos + 1)
-        if pos >= end or text[pos] != ")":
-            open_names.append([])  # its first key starts here
-            continue
-        name = EMPTY_NAME
-        pos += 1
-        # ``name`` has just closed: it is the whole input, or the key of an
-        # entry of the innermost open name.
-        while open_names:
-            pos = _skip_ws(text, pos)
-            if text[pos:pos + 2] != "->":
-                raise ValueError(f"expected '->' at position {pos}")
-            pos = _skip_ws(text, pos + 2)
-            if pos >= end or text[pos] != "{":
-                raise ValueError(f"expected frame element at position {pos}")
-            close = text.index("}", pos)
-            open_names[-1].append(
-                (name, tp.parse_frame_element(text[pos:close + 1])))
-            pos = _skip_ws(text, close + 1)
-            if pos < end and text[pos] == ",":
-                pos = _skip_ws(text, pos + 1)
-                break  # the next key starts here
-            if pos < end and text[pos] == ")":
-                name = make_name(open_names.pop())
-                pos += 1
-                continue
-            raise ValueError(f"expected ',' or ')' at position {pos}")
-        else:
-            if text[pos:].strip():
-                raise ValueError(f"trailing input after name: {text[pos:]!r}")
-            return name
+    """Parses a serialized name.  hf's scanner reads it as it reads an HF
+    literal, in round brackets, with ``->`` and a frame element after
+    each key."""
+    sc = _Scanner(text)
+    return sc.whole(lambda: sc.nested("(", ")", "name", make_name, _entry))
 
+
+def _entry(sc: _Scanner, key: Name) -> tuple[Name, FrameElement]:
+    """The entry whose key has just been read: ``->`` and the frame
+    element after it."""
+    sc.expect("->")
+    if not sc.peek("{"):
+        raise sc.error("expected frame element")
+    close = sc.text.find("}", sc.pos)
+    if close < 0:
+        raise sc.error("unterminated frame element")
+    p = tp.parse_frame_element(sc.text[sc.pos:close + 1])
+    sc.pos = close + 1
+    return key, p

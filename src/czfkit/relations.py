@@ -99,10 +99,12 @@ class InductiveDef:
 
 
 def lfp_stages(phi: InductiveDef) -> list[HFSet]:
-    """Iterates of the operator from the empty set until stabilization."""
+    """Iterates of the operator from the empty set until stabilization.
+    The operator is monotone, so from the empty set each stage contains the
+    one before it."""
     stages = [hf.EMPTY]
     while True:
-        nxt = hf.binary_union(stages[-1], phi.step(stages[-1]))
+        nxt = phi.step(stages[-1])
         if nxt == stages[-1]:
             return stages
         stages.append(nxt)

@@ -97,11 +97,6 @@ class FormalTopology:
         for attr, value in tables.items():
             object.__setattr__(self, attr, value)
 
-    @property
-    def _generators(self) -> tuple[FrameElement, ...]:
-        """The principal saturations, one per token of the carrier."""
-        return tuple(self._as_set[g] for g in self._generator_masks)
-
     def below(self, a: str, b: str) -> bool:
         return (a, b) in self.order
 
@@ -308,11 +303,11 @@ def parse_topology(text: str) -> FormalTopology:
             if "<|" not in body:
                 raise TopologyError(f"bad cover row {body!r}")
             a, rest = body.split("<|", 1)
-            rest = rest.strip()
-            if not (rest.startswith("{") and rest.endswith("}")):
-                raise TopologyError(f"bad cover subset {rest!r}")
-            inner = rest[1:-1].strip()
-            p = frozenset(x.strip() for x in inner.split(",") if x.strip())
+            try:
+                p = parse_frame_element(rest)
+            except TopologyError:
+                raise TopologyError(
+                    f"bad cover subset {rest.strip()!r}") from None
             cover_rows.append((a.strip(), p))
         else:
             raise TopologyError(f"unrecognized line {line!r}")
@@ -339,10 +334,11 @@ def render_frame_element(p: FrameElement) -> str:
 
 
 def parse_frame_element(text: str) -> FrameElement:
+    """Reads ``{a,b,...}``; an empty token, as in ``{a,}``, is an error,
+    since no carrier holds one."""
     text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise TopologyError(f"bad frame element {text!r}")
     inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    return frozenset(x.strip() for x in inner.split(","))
+    tokens = [x.strip() for x in inner.split(",")] if inner else []
+    if not (text.startswith("{") and text.endswith("}")) or "" in tokens:
+        raise TopologyError(f"bad frame element {text!r}")
+    return frozenset(tokens)

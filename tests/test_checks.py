@@ -7,6 +7,8 @@ from czfkit.checks import (
     ElementarityReport, EmbeddingMap, RegularityLevel, _is_regular,
     check_critical_point, check_elementary, check_regular,
 )
+from czfkit.corpus import bounded_formulas
+from czfkit.formula import render
 from czfkit.hf import EMPTY, HFSet, hfset, kpair, parse_hf
 
 
@@ -142,6 +144,18 @@ def test_elementary_failure_has_witness():
     assert not report.ok
     assert report.formula is not None
     assert report.arguments == (EMPTY,)
+
+
+def test_elementary_failure_needs_two_parameters():
+    """j sends 1 to {1}, so it keeps every one-parameter formula at depth 1
+    but not 0 in 1: only the two-parameter half of the check sees it."""
+    j = EmbeddingMap(source=TWO, target=hfset(EMPTY, ONE, hfset(ONE)),
+                     graph={EMPTY: EMPTY, ONE: hfset(ONE)})
+    report = check_elementary(j, depth=1)
+    assert not report.ok
+    assert render(report.formula) == "x1 in x2"
+    assert report.arguments == (EMPTY, ONE)
+    assert report.checked > len(bounded_formulas(1, 1)) * len(TWO)
 
 
 def test_critical_point_identity_fails():

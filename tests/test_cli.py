@@ -220,6 +220,32 @@ def test_check_elementary(capsys):
     assert out_of(capsys).startswith("ok (")
 
 
+def test_check_elementary_reports_a_two_parameter_failure(capsys):
+    assert run(["check-elementary", "--source", "{{},{{}}}",
+                "--target", "{{},{{}},{{{}}}}",
+                "--map", "{}=>{}", "--map", "{{}}=>{{{}}}"]) == 1
+    assert out_of(capsys) == "fails on x1 in x2 at {}, {{}}\n"
+
+
+def test_unterminated_frame_element_in_a_name_exits_2(capsys, omega_path):
+    assert run(["interpret", "x = x", "--topology", omega_path,
+                "--env", "x=(()->{0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: bad name: unterminated frame element at position 5\n"
+
+
+def test_empty_cover_token_exits_2(capsys, tmp_path):
+    path = tmp_path / "t.top"
+    path.write_text("carrier: a\ncover: a <| {a,}\n")
+    assert run(["frame", "--topology", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: bad topology file: bad cover subset '{a,}'\n"
+
+
 def test_topology_validate_and_frame(capsys, chain_path, omega_path, tmp_path):
     assert run(["topology-validate", "--topology", chain_path]) == 0
     assert out_of(capsys) == "valid\n"

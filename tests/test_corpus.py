@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from czfkit import corpus
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import alpha_canonical, free_vars, is_bounded, render
@@ -37,6 +39,13 @@ def test_limit_and_growth():
     big = bounded_formulas(1, 2, limit=500)
     assert len(big) > len(small) > 0
     assert len(bounded_formulas(1, 2, limit=10)) <= 21  # cap applies per level
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_negative_limit_is_refused(depth):
+    with pytest.raises(ValueError, match="^limit must be a natural number$"):
+        bounded_formulas(1, depth, limit=-1)
+    assert bounded_formulas(1, depth, limit=0) == []
 
 
 def test_literals_toggle():

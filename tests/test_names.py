@@ -316,6 +316,24 @@ def test_parse_serialize_round_trip():
         parse_name("(() {0})")
 
 
+def test_parse_name_errors():
+    """hf's scanner reads names: its messages name the position, and names
+    share the literal reader's depth bound."""
+    for text, message in [
+            ("(()->{0", "unterminated frame element at position 5"),
+            ("(()->0)", "expected frame element at position 5"),
+            ("(() {0})", "expected '->' at position 4"),
+            ("(()->{}", "unterminated name"),
+            ("(()->{} ()", "expected ',' or ')' at position 8"),
+            ("() ()", "trailing input at position 3: '()'"),
+            ("{}", "expected '(' at position 0"),
+            ("(()->{a,})", "bad frame element '{a,}'"),
+            ("(" * (hf.MAX_PARSE_DEPTH + 2) + ")", "nested too deeply")]:
+        with pytest.raises(ValueError) as e:
+            parse_name(text)
+        assert str(e.value) == message
+
+
 # -- the unique table ----------------------------------------------------------
 
 
@@ -1114,7 +1132,8 @@ def test_mask_tables_match_the_frozenset_operations():
         subs = list(t.subsets())
         mask, as_set, nuclei = t._mask, t._as_set, t._mask_nuclei
         assert as_set[t._top_mask] == tp.top(t)
-        assert [as_set[g] for g in t._generator_masks] == list(t._generators)
+        for a, g in zip(t.carrier, t._generator_masks, strict=True):
+            assert as_set[g] == {b for b in t.carrier if t.covers(b, {a})}
         for p in subs:
             assert as_set[mask[p]] == p
             assert mask[p | {"zz"}] == mask[p]

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -198,6 +199,31 @@ def test_lfp_stage_monotone():
     for s1, s2 in zip(stages, stages[1:]):
         assert s1.is_subset(s2) and s1 != s2
     assert stages[-1] == hfset(EMPTY, ONE, hfset(TWO))
+
+
+def _lfp_stages_reference(phi):
+    """The stages as first written: each the union of the stage before it
+    and the operator's value there."""
+    stages = [EMPTY]
+    while True:
+        nxt = hf.binary_union(stages[-1], phi.step(stages[-1]))
+        if nxt == stages[-1]:
+            return stages
+        stages.append(nxt)
+
+
+def test_lfp_stages_match_the_union_reference():
+    rng = random.Random(31)
+    v3 = hf.v_stage(3).elements()
+    lengths = set()
+    for _ in range(500):
+        rules = frozenset((rng.choice(v3), rng.choice(v3))
+                          for _ in range(rng.randrange(10)))
+        phi = InductiveDef(rules)
+        stages = lfp_stages(phi)
+        assert stages == _lfp_stages_reference(phi)
+        lengths.add(len(stages))
+    assert max(lengths) >= 4  # chains of several stages were compared
 
 
 def test_lfp_is_least_closed():

@@ -232,6 +232,18 @@ def test_frame_element_text():
         parse_frame_element("a,b")
 
 
+@pytest.mark.parametrize("text", ["{a,}", "{a,,b}", "{,}", "{ , a}"])
+def test_an_empty_token_is_refused(text):
+    """No carrier holds the token '' and no renderer writes one, so both
+    readers of frame elements refuse it."""
+    with pytest.raises(TopologyError) as e:
+        parse_frame_element(text)
+    assert str(e.value) == f"bad frame element {text!r}"
+    with pytest.raises(TopologyError) as e:
+        parse_topology(f"carrier: a b\ncover: a <| {text}\n")
+    assert str(e.value) == f"bad cover subset {text!r}"
+
+
 # -- the frame tables against the definitions ------------------------------
 
 

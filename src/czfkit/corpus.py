@@ -65,8 +65,8 @@ def bounded_formulas(free_count: int, max_depth: int, limit: int = 250,
                      include_literals: bool = False) -> list[Formula]:
     """The first `limit` bounded formulas over x1..x{free_count}, shallowest
     first, distinct up to bound-variable renaming."""
-    if limit < 0:
-        raise ValueError("limit must be a natural number")
+    hf._check_naturals(free_count=free_count, max_depth=max_depth,
+                       limit=limit)
     scope = tuple(f"x{i + 1}" for i in range(free_count))
     levels = _grow(scope, max_depth, limit, include_literals)
     return list(itertools.islice(itertools.chain.from_iterable(levels), limit))

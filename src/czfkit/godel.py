@@ -615,16 +615,10 @@ def _arg_tuples(a: HFSet, symbol: str):
     return ([x, y] for x in elems for y in elems)
 
 
-def _check_naturals(**values: int):
-    for name, n in values.items():
-        if n < 0:
-            raise ValueError(f"{name} must be a natural number")
-
-
 def expand(a: HFSet, max_size: int) -> HFSet:
     """a plus every fundamental-operation value on argument tuples from a;
     BudgetExceeded as soon as that holds more than max_size elements."""
-    _check_naturals(max_size=max_size)
+    hf._check_naturals(max_size=max_size)
     out = set(a)
     for symbol in OP_SYMBOLS:
         for args in _arg_tuples(a, symbol):
@@ -643,7 +637,7 @@ def def_stage(a: HFSet, k: int, max_size: int = 4096) -> HFSet:
     """The union of the first k definability iterates of a (a truncation of
     the full omega-union).  As expand(x) contains x, the iterates only grow,
     so the union is the k-th iterate, and expand has checked its size."""
-    _check_naturals(k=k, max_size=max_size)
+    hf._check_naturals(k=k, max_size=max_size)
     for _ in range(k):
         a = define_step(a, max_size)
     return a
@@ -657,7 +651,7 @@ def l_stage(alpha: int, k: int, max_size: int = 4096) -> HFSet:
     and expand has checked its size."""
     if alpha < 0:
         raise ValueError("finite ordinals only")
-    _check_naturals(k=k, max_size=max_size)
+    hf._check_naturals(k=k, max_size=max_size)
     stage = EMPTY
     for _ in range(alpha):
         stage = def_stage(stage, k, max_size)

@@ -23,6 +23,13 @@ class BudgetExceeded(Exception):
     """A configured size budget was exceeded."""
 
 
+def _check_naturals(**values: int) -> None:
+    """A ValueError naming the first of the values that is negative."""
+    for name, n in values.items():
+        if n < 0:
+            raise ValueError(f"{name} must be a natural number")
+
+
 # frozenset of members -> entry for the one live HFSet with those members.
 _table, _drop = unique.new_table()
 

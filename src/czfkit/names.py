@@ -32,7 +32,7 @@ from .formula import (
     QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Steps, Term,
     distinct_subformulas,
 )
-from .hf import BudgetExceeded, HFSet, _Scanner
+from .hf import BudgetExceeded, HFSet, _Scanner, _check_naturals
 from .topology import FormalTopology, FrameElement
 
 
@@ -132,6 +132,7 @@ class NameUniverse:
 def name_universe(t: FormalTopology, depth: int,
                   max_count: int = 100000) -> NameUniverse:
     """All names over t of the given depth or less, each built once."""
+    _check_naturals(depth=depth)
     weights = [None, *tp.frame_elements(t)]  # None: no entry for the key
     current: list[Name] = [EMPTY_NAME]
     for _ in range(depth):
@@ -390,11 +391,6 @@ class Interpreter:
                     return c, y if x is c else x
         return None, s
 
-    def _bound_entries(self, term: Term, env: dict):
-        """The masked entries a bounded quantifier ranges over; a subclass
-        may reweigh them."""
-        return self._masked[self.term_name(term, env)]
-
 
 # -- value, one step function per formula node ------------------------------
 #
@@ -413,9 +409,13 @@ def _check_bindings(f: Formula, env: dict) -> None:
     for v in sorted(f._fv):
         if v not in env:
             raise ValueError(f"unassigned variable {v}")
-        if not isinstance(env[v], Name):
-            raise ValueError(f"{v} is bound to a class name; class names "
-                             "cannot appear in term position here")
+        binding = env[v]
+        if not isinstance(binding, Name):
+            if isinstance(binding, ClassName):
+                raise ValueError(f"{v} is bound to a class name; class "
+                                 "names cannot appear in term position here")
+            raise ValueError(f"{v} is bound to a value of type "
+                             f"{type(binding).__name__}, not a name")
     classes, binders = set(), set()
     for g in distinct_subformulas(f):
         if isinstance(g, ClassMem):
@@ -493,7 +493,7 @@ def _big_or(it, f, env):
 
 
 def _bounded_all(it, f, env):
-    entries = it._bound_entries(f.bound, env)
+    entries = it._masked[it.term_name(f.bound, env)]
     t, v, body = it.t, f.var, f.body
     step = _STEPS[type(body)]
     env = dict(env)
@@ -508,7 +508,7 @@ def _bounded_all(it, f, env):
 
 
 def _bounded_ex(it, f, env):
-    entries = it._bound_entries(f.bound, env)
+    entries = it._masked[it.term_name(f.bound, env)]
     t, v, body = it.t, f.var, f.body
     step = _STEPS[type(body)]
     env = dict(env)

@@ -3,13 +3,17 @@
 ``dn_translate`` is the syntactic Goedel-Gentzen translation, a formula
 transformer: it wraps atoms, disjunctions and existentials in double
 negations and leaves the other connectives alone.  ``semantic_translate``
-evaluates atoms by forcing over the double-negation topology and combines
-the results with classical truth functions, which is what the translation
-denotes there.  That is the fold of ``names.Interpreter.value`` into the
-two-element frame with atom values and bounded-quantifier weights rounded
-to top or bottom; in a nontrivial frame {bottom, top} is a subframe closed
-under every operation of the fold (Fourman and Scott, "Sheaves and logic",
-1979).
+is the truth of the translation in a forcing model: whether
+[[dn_translate(f)]] is top.  In every finite frame
+[[dn_translate(f)]] = not not [[f]], by induction on f: double negation
+preserves finite meets and implication, and absorbs the double negations
+the translation adds (Fourman and Scott, "Sheaves and logic", 1979).  Not
+not p is top exactly when not p is bottom, so the code evaluates neg(f)
+with the one forcing evaluator, ``names.Interpreter``, and builds no
+translated formula, whose extra negations would cost a step per node.
+Over the double-negation topology the frame is Boolean, not not p is p,
+and the translation holds exactly when f is forced with top value.  In
+the trivial frame, where bottom is top, every translation holds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .formula import (
     BigOr, BoundedEx, ClassMem, Eq, Ex, Formula, Mem, Or, _checked, _same,
     neg,
 )
-from .names import ClassName, Interpreter, Name, NameUniverse
+from .names import Interpreter, NameUniverse
 
 
 def _dneg(f: Formula) -> Formula:
@@ -45,41 +49,11 @@ def dn_translate(f: Formula) -> Formula:
 _TWO = tp.omega()  # its frame is the two-element Boolean algebra
 
 
-class _Rounded(Interpreter):
-    """The forcing fold of ``it`` into the two-element frame, an atom being
-    top there exactly when its value under ``it`` is top.  A bounded
-    quantifier ranges over the entries of full weight, as an entry of
-    weight bottom adds nothing to its meet or join."""
-
-    def __init__(self, it: Interpreter):
-        super().__init__(it.u)
-        self.t, self._it = _TWO, it
-
-    def _round(self, p: int) -> int:
-        return _TWO._top_mask if p == self._it.t._top_mask else 0
-
-    def term_name(self, term, env: dict) -> Name:
-        # a literal's check name has full weight over it.t, not over _TWO
-        return self._it.term_name(term, env)
-
-    def _eq(self, a: Name, b: Name) -> int:
-        return self._round(self._it._eq(a, b))
-
-    def _mem(self, a: Name, b: Name | ClassName) -> int:
-        return self._round(self._it._mem(a, b))
-
-    def _bound_entries(self, term, env: dict):
-        top = tp.top(self._it.t)
-        return [(x, _TWO._top_mask)
-                for x, p in self.term_name(term, env).entries if p == top]
-
-
 def semantic_translate(f: Formula, env: dict | None,
                        it: Interpreter) -> bool:
-    """Classical truth of the translated formula: atoms become "forced with
-    top value", the connectives and quantifiers are read classically, by
-    the forcing fold into the two-element frame."""
-    return _Rounded(it).value(f, env) == tp.top(_TWO)
+    """Whether [[dn_translate(f)]] = not not [[f]] is top in ``it``'s
+    model, asked as whether [[neg(f)]] is bottom."""
+    return it.value(neg(_checked(f)), env) == tp.bottom(it.t)
 
 
 def semantic_coincidence_check(f: Formula, env: dict | None,

@@ -132,6 +132,13 @@ def test_elementary_identity():
     assert report.checked > 0
 
 
+def test_elementary_refuses_a_negative_depth():
+    j = EmbeddingMap(source=TWO, target=TWO,
+                     graph={EMPTY: EMPTY, ONE: ONE})
+    with pytest.raises(ValueError, match="^max_depth must be a natural"):
+        check_elementary(j, -3)
+
+
 def test_elementary_into_larger_target():
     j = EmbeddingMap(source=ONE, target=TWO, graph={EMPTY: EMPTY})
     assert check_elementary(j, depth=2, limit=60).ok

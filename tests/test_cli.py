@@ -512,6 +512,14 @@ def test_translate(capsys, omega_path):
     assert run(["translate", "x = x", "--mode", "semantic"]) == 2
 
 
+def test_translate_forces_the_translation_on_the_chain(capsys, chain_path):
+    # [[x = y]] = {a}, not top, but dense: its double negation is top
+    assert run(["translate", "x = y", "--mode", "semantic", "--topology",
+                chain_path, "--env", "x=(()->{a})",
+                "--env", "y=(()->{a,b})"]) == 0
+    assert out_of(capsys) == "true\n"
+
+
 def test_prove(capsys):
     assert run(["prove", "x = x -> x = x"]) == 0
     assert "=>" in out_of(capsys)

@@ -48,6 +48,14 @@ def test_negative_limit_is_refused(depth):
     assert bounded_formulas(1, depth, limit=0) == []
 
 
+@pytest.mark.parametrize("free_count, max_depth, name", [
+    (1, -1, "max_depth"), (-1, 1, "free_count"),
+])
+def test_negative_sizes_are_refused(free_count, max_depth, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a natural number$"):
+        bounded_formulas(free_count, max_depth, limit=10)
+
+
 def test_literals_toggle():
     plain = {render(f) for f in bounded_formulas(1, 1, limit=100)}
     rich = {render(f) for f in bounded_formulas(1, 1, limit=100,

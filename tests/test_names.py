@@ -22,7 +22,7 @@ from czfkit.names import (
     strong_collection_witness, subset_value, up,
 )
 from czfkit.topology import frame_elements, from_poset, omega
-from czfkit.translate import semantic_translate
+from czfkit.translate import dn_translate, semantic_translate
 
 
 OMEGA = omega()
@@ -145,6 +145,12 @@ def test_name_universe_sizes():
     assert len(u_omega(1).names) == 3
     assert len(u_omega(2).names) == 27
     assert len(name_universe(CHAIN, 1).names) == 4
+
+
+def test_name_universe_refuses_a_negative_depth():
+    with pytest.raises(ValueError,
+                       match="^depth must be a natural number$"):
+        name_universe(OMEGA, -1)
 
 
 def test_name_universe_budget():
@@ -990,8 +996,6 @@ class _FrozensetInterpreter:
             raise ValueError(f"{term.name} is bound to a class name")
         return val
 
-    _bound_name = term_name
-
     def eq(self, a, b):
         key = (a, b)
         out = self._eq.get(key)
@@ -1058,11 +1062,11 @@ class _FrozensetInterpreter:
             case BoundedAll(v, b, body):
                 return tp.big_meet(
                     t, (tp.implies(t, p, self.value(body, {**env, v: x}))
-                        for x, p in self._bound_name(b, env).entries))
+                        for x, p in self.term_name(b, env).entries))
             case BoundedEx(v, b, body):
                 return tp.big_join(
                     t, (tp.meet(t, p, self.value(body, {**env, v: x}))
-                        for x, p in self._bound_name(b, env).entries))
+                        for x, p in self.term_name(b, env).entries))
             case All(v, body):
                 return tp.big_meet(t, (self.value(body, {**env, v: n})
                                        for n in self.u.names))
@@ -1070,33 +1074,6 @@ class _FrozensetInterpreter:
                 return tp.big_join(t, (self.value(body, {**env, v: n})
                                        for n in self.u.names))
         raise TypeError(f"not a formula: {f!r}")
-
-
-class _FrozensetRounded(_FrozensetInterpreter):
-    """translate's fold into the two-element frame, over the frozenset
-    interpreter: the reference for ``semantic_translate``."""
-
-    def __init__(self, it):
-        self.u, self.t, self._it, self._top = it.u, OMEGA, it, tp.top(it.t)
-
-    def _round(self, p):
-        return TOP if p == self._top else BOT
-
-    def term_name(self, term, env):
-        return self._it.term_name(term, env)
-
-    def eq(self, a, b):
-        return self._round(self._it.eq(a, b))
-
-    def mem(self, a, b):
-        return self._round(self._it.mem(a, b))
-
-    def class_mem(self, a, cls):
-        return self._round(self._it.class_mem(a, cls))
-
-    def _bound_name(self, term, env):
-        return Name((x, TOP) for x, p in self.term_name(term, env).entries
-                    if p == self._top)
 
 
 def _odd_names(t, tokens):
@@ -1197,7 +1174,7 @@ def test_value_matches_the_frozenset_interpreter(key):
             assert it.value(f, env) == ref.value(f, env), (f, x1)
             if key == "omega":
                 assert semantic_translate(f, env, it) == \
-                    (_FrozensetRounded(ref).value(f, env) == TOP), (f, x1)
+                    (ref.value(dn_translate(f), env) == TOP), (f, x1)
 
 
 @pytest.mark.parametrize("key", ["omega", "chain"])
@@ -1278,7 +1255,7 @@ def test_settled_values_match_the_frozenset_interpreter(key):
             assert it.value(f, env) == ref.value(f, env), (f, x1)
             if t is OMEGA:
                 assert semantic_translate(f, env, it) == \
-                    (_FrozensetRounded(ref).value(f, env) == TOP), (f, x1)
+                    (ref.value(dn_translate(f), env) == TOP), (f, x1)
 
 
 def _count_eq_atoms(monkeypatch):
@@ -1345,6 +1322,18 @@ def test_a_skipped_operand_still_raises(text, message):
         assert str(e.value).startswith(message)
     with pytest.raises(TypeError, match="not a formula: a Var object"):
         it.value(Var("x"), env)
+
+
+@pytest.mark.parametrize("value, message", [
+    (make_class_name([]), "x is bound to a class name; class names cannot "
+                          "appear in term position here"),
+    (EMPTY, "x is bound to a value of type HFSet, not a name"),
+    (None, "x is bound to a value of type NoneType, not a name"),
+])
+def test_a_binding_that_is_no_name_is_named(value, message):
+    with pytest.raises(ValueError) as e:
+        interpret(parse("x = x"), {"x": value}, u_omega(1))
+    assert str(e.value) == message
 
 
 def test_a_class_symbol_a_quantifier_rebinds_is_refused():

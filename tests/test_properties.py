@@ -137,7 +137,10 @@ TOPOLOGIES = {
 UNIVERSES = {k: name_universe(t, 1) for k, t in TOPOLOGIES.items()}
 
 
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+# Over omega every value is top or bottom, so forcing the translation is the
+# classical reading.  On the other frames a value strictly between them may
+# be dense, and then the translation holds where the atom is not top.
+@pytest.mark.parametrize("topology", ["omega"])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(f=formulas, data=st.data())
@@ -146,6 +149,18 @@ def test_semantic_translate_is_the_classical_reading(topology, f, data):
     env = {v: data.draw(st.sampled_from(u.names)) for v in VARS}
     it = Interpreter(u)
     assert semantic_translate(f, env, it) == _classical_reading(f, env, it)
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(f=formulas, data=st.data())
+def test_semantic_translate_forces_the_translation(topology, f, data):
+    u = UNIVERSES[topology]
+    env = {v: data.draw(st.sampled_from(u.names)) for v in VARS}
+    it = Interpreter(u)
+    assert semantic_translate(f, env, it) == \
+        (it.value(dn_translate(f), env) == tp.top(it.t))
 
 
 # -- the Goedel compiler is the comprehension oracle ------------------------

@@ -4,16 +4,19 @@ import pytest
 
 from czfkit.corpus import bounded_formulas
 from czfkit.formula import (
-    All, And, Ex, Falsum, Imp, Or, free_vars, neg, parse, render, subformulas,
+    All, And, BoundedAll, BoundedEx, Ex, Falsum, Imp, Or, free_vars, neg,
+    parse, render, subformulas,
 )
-from czfkit.names import Interpreter, Name, check_name, name_universe
+from czfkit.names import (
+    EMPTY_NAME, Interpreter, Name, check_name, make_name, name_universe,
+)
 from czfkit.prover import Logic, Outcome, prove_formula
 from czfkit.translate import (
     dn_translate, semantic_coincidence_check, semantic_translate,
 )
 from czfkit.topology import FormalTopology, from_poset, omega, top, validate
 from czfkit.semantics import satisfies
-from czfkit import hf, unique
+from czfkit import hf, names, topology as tp, unique
 
 
 def gg(text):
@@ -149,18 +152,86 @@ def test_semantic_translate_is_satisfaction_of_the_denotations():
     assert checks == 458
 
 
-def test_semantic_mode_reads_connectives_classically_in_the_trivial_frame():
-    # one token covered by the empty set: bottom is top, and every atom is
-    # forced with top value, yet false stays false and ~(x = x) too
-    cover = {("a", frozenset()): True, ("a", frozenset({"a"})): True}
-    trivial = FormalTopology(("a",), frozenset({("a", "a")}), cover)
-    assert validate(trivial) == []
-    u = name_universe(trivial, 1)
+# one token covered by the empty set: bottom is top
+TRIVIAL = FormalTopology(
+    ("a",), frozenset({("a", "a")}),
+    {("a", frozenset()): True, ("a", frozenset({"a"})): True})
+
+
+def test_semantic_mode_holds_everywhere_in_the_trivial_frame():
+    # every value is top, the translation's included, false and ~(x = x)
+    # among them
+    assert validate(TRIVIAL) == []
+    u = name_universe(TRIVIAL, 1)
     env = {"x": u.names[0]}
     it = Interpreter(u)
-    assert semantic_translate(parse("false"), env, it) is False
-    assert semantic_translate(parse("~(x = x)"), env, it) is False
+    assert semantic_translate(parse("false"), env, it) is True
+    assert semantic_translate(parse("~(x = x)"), env, it) is True
     assert semantic_translate(parse("x = x & ex y. y in x"), env, it) is True
+
+
+def test_semantic_mode_is_forcing_not_rounding_on_the_chain():
+    """[[x = y]] = {a} is not top on the 2-chain, but it is dense: its
+    double negation is top, so the translation holds."""
+    chain = from_poset(["a", "b"], [("a", "b")])
+    u = name_universe(chain, 1)
+    env = {"x": make_name([(EMPTY_NAME, {"a"})]),
+           "y": make_name([(EMPTY_NAME, {"a", "b"})])}
+    it = Interpreter(u)
+    f = parse("x = y")
+    assert it.value(f, env) == frozenset({"a"})
+    assert semantic_translate(f, env, it) is True
+    assert it.value(dn_translate(f), env) == top(chain)
+
+
+def test_coincidence_reads_weights_on_the_carrier():
+    """A weight with a token off the carrier reads as its tokens on it, on
+    both sides of the coincidence: {0, zz} is top over omega."""
+    u = name_universe(omega(), 1)
+    x1 = make_name([(EMPTY_NAME, {"0", "zz"})])
+    f = parse("ex z in x1. z = z")
+    assert Interpreter(u).value(f, {"x1": x1}) == top(omega())
+    assert semantic_coincidence_check(f, {"x1": x1}, u) is True
+
+
+def _quantified(f):
+    return any(isinstance(g, (BoundedAll, BoundedEx)) for g in subformulas(f))
+
+
+def test_translation_is_the_double_negation_on_every_small_frame():
+    """[[dn_translate(f)]] = not not [[f]] in every finite frame, and
+    semantic_translate asks whether that value is top.  Over every poset
+    frame on at most 3 points and the trivial frame, depth-1 universes:
+    the (2, 2, 120) stratum, the quantified formulas of (1, 3, 250), and
+    unbounded closures of the stratum over x2."""
+    from test_acceptance import _all_posets_up_to_3
+    stratum = bounded_formulas(2, 2, limit=120)
+    closed = [g for g in stratum if "x2" in free_vars(g)][:5]
+    formulas = stratum + [g for g in bounded_formulas(1, 3, limit=250)
+                          if _quantified(g)]
+    formulas += [Q("x2", g) for g in closed for Q in (Ex, All)]
+    translated = [(f, dn_translate(f), sorted(free_vars(f)))
+                  for f in formulas]
+    checks = 0
+    for t in _all_posets_up_to_3() + [TRIVIAL]:
+        u = name_universe(t, 1)
+        it = Interpreter(u)
+        bottom, full = tp.bottom(t), top(t)
+        dneg = {p: tp.implies(t, tp.implies(t, p, bottom), bottom)
+                for p in tp.frame_elements(t)}
+        for f, g, fv in translated:
+            # g is valued by its step alone: its bindings are f's, which
+            # value checks, and checking them again doubles the time
+            step = names._STEPS[type(g)]
+            for combo in itertools.product(u.names, repeat=len(fv)):
+                env = dict(zip(fv, combo))
+                p = it.value(f, env)
+                value = t._as_set[step(it, g, env)]
+                assert value == dneg[p], (t, f, env)
+                assert semantic_translate(f, env, it) == (value == full)
+                checks += 1
+    print(f"{checks} checks")
+    assert checks == 82036
 
 
 def test_semantic_mode_checks_every_operand():

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks, godel, hf, hierarchy, names as nm, prover as pv
-from . import relations, semantics, topology as tp, translate as tr
-from .formula import FormulaSyntaxError, parse, render
+from . import checks, formula, godel, hf, hierarchy, names as nm, prover as pv
+from . import relations, semantics, topology as tp, translate as tr, unique
+from .formula import FormulaSyntaxError, Lit, parse, render
 from .hf import BudgetExceeded
 
 
@@ -51,48 +51,39 @@ def _read_topology(path: str):
 MAX_NAME_DEPTH = 200
 
 
-def _nesting(text: str, opener: str, closer: str) -> int:
-    """How deep opener/closer pairs nest in text, less one: the depth of a
-    name written with parentheses, the rank of an HF literal in braces."""
-    level = deepest = 0
-    for ch in text:
-        if ch == opener:
-            level += 1
-            deepest = max(deepest, level)
-        elif ch == closer:
-            level -= 1
-    return deepest - 1
-
-
-def _check_literal_depth(text: str) -> None:
-    """HF literals in text that become names obey MAX_NAME_DEPTH too."""
-    # Measured on the text, which covers every literal in it at once.
-    if _nesting(text, "{", "}") > MAX_NAME_DEPTH:
+def _check_depth(depth: int, what: str) -> None:
+    if depth > MAX_NAME_DEPTH:
         raise _InputError(
-            f"bad hf literal: nested deeper than {MAX_NAME_DEPTH} levels")
+            f"bad {what}: nested deeper than {MAX_NAME_DEPTH} levels")
+
+
+def _check_literals(f) -> None:
+    """HF literals in f that become names obey MAX_NAME_DEPTH too."""
+    # a literal is a side of an atom or class atom, or a quantifier's bound
+    ranks = [t.value.rank() for g in formula.distinct_subformulas(f)
+             for t in (getattr(g, a) for a in g.__match_args__)
+             if isinstance(t, Lit)]
+    _check_depth(max(ranks, default=0), "hf literal")
 
 
 def _parse_name(text: str, t):
     """A name of at most MAX_NAME_DEPTH levels whose every value is a frame
     element of t."""
-    # Measured on the text, before parsing: every name stores its
-    # serialization, so building a chain n names deep takes O(n^2) memory.
-    if _nesting(text, "(", ")") > MAX_NAME_DEPTH:
-        raise _InputError(
-            f"bad name: nested deeper than {MAX_NAME_DEPTH} levels")
     try:
         name = nm.parse_name(text)
     except ValueError as e:
         raise _InputError(f"bad name: {e}") from None
     frames = set(tp.frame_elements(t))
-    stack = [name]
-    while stack:
-        for x, p in stack.pop().entries:
+
+    def depth(n, key_depths):
+        for _, p in n.entries:
             if p not in frames:
                 raise _InputError(
                     f"bad name: {tp.render_frame_element(p)} is not a frame "
                     f"element of the topology")
-            stack.append(x)
+        return max(key_depths, default=-1) + 1
+
+    _check_depth(unique.fold(name, nm.Name.keys, depth), "name")
     return name
 
 
@@ -110,7 +101,7 @@ def _parse_env(pairs, topology=None):
             env[var] = _parse_name(val, topology)
         else:
             x = _parse_hf(val)
-            _check_literal_depth(val)
+            _check_depth(x.rank(), "hf literal")
             env[var] = nm.check_name(x, topology)
     return env
 
@@ -342,7 +333,7 @@ def _cmd(args) -> int:
             return 0
         if not args.topology:
             raise _InputError("semantic mode needs --topology")
-        _check_literal_depth(args.formula)
+        _check_literals(f)
     # translate reaches the forcing commands only in semantic mode
     if args.command in ("interpret", "witness-collection", "powerset-name",
                         "translate"):
@@ -367,7 +358,7 @@ def _cmd(args) -> int:
             return _truth(out, tr.semantic_translate(f, env,
                                                      nm.Interpreter(u)))
         f = _parse_formula(args.formula)
-        _check_literal_depth(args.formula)
+        _check_literals(f)
         out.write(tp.render_frame_element(nm.interpret(f, env, u)) + "\n")
         return 0
     if args.command == "prove":

@@ -30,7 +30,7 @@ from . import topology as tp, unique
 from .formula import (
     All, And, BigAnd, BigOr, BoundedAll, BoundedEx, ClassMem, Eq, Ex, Falsum,
     QUANTIFIERS, Formula, Imp, Lit, Mem, Or, Steps, Term,
-    distinct_subformulas,
+    class_ids, distinct_subformulas,
 )
 from .hf import BudgetExceeded, HFSet, _Scanner, _check_naturals
 from .topology import FormalTopology, FrameElement
@@ -416,14 +416,12 @@ def _check_bindings(f: Formula, env: dict) -> None:
                                  "names cannot appear in term position here")
             raise ValueError(f"{v} is bound to a value of type "
                              f"{type(binding).__name__}, not a name")
-    classes, binders = set(), set()
-    for g in distinct_subformulas(f):
-        if isinstance(g, ClassMem):
-            classes.add(g.cls)
-        elif isinstance(g, QUANTIFIERS):
-            binders.add(g.var)
-    for cls in sorted(classes):
-        _class_name({} if cls in binders else env, cls)
+    classes = class_ids(f)
+    if classes:
+        binders = {g.var for g in distinct_subformulas(f)
+                   if isinstance(g, QUANTIFIERS)}
+        for cls in sorted(classes):
+            _class_name({} if cls in binders else env, cls)
 
 
 def _class_name(env: dict, cls: str) -> ClassName:

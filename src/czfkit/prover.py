@@ -32,6 +32,7 @@ import enum
 import functools
 import itertools
 import sys
+import threading
 from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,6 +253,7 @@ _SEARCH_ORDER = {
     Logic.INTUITIONISTIC: (_order(*_INVERTIBLE),
                            _order(*_CHOICE[:3], "R-bigand", *_CHOICE[3:])),
 }
+_LIMIT_LOCK = threading.RLock()
 
 
 class _Node:
@@ -390,19 +392,21 @@ class _Search:
 def prove(s: Sequent, logic: Logic = Logic.INTUITIONISTIC,
           budget: int = 20000, allow_cut: bool = False) -> ProveResult:
     """Backward search from the endsequent.  The search recurses once per
-    rule applied, so the recursion limit is raised for its duration only."""
+    rule applied, so the recursion limit is raised for its duration only;
+    searches run one at a time until ROADMAP item 10 removes the raise."""
     search = _Search(logic, budget, allow_cut)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10000))
-    try:
-        s = Sequent.make([desugar(f) for f in s.left],
-                         [desugar(f) for f in s.right])
-        d = search.prove(s)
-    finally:
-        sys.setrecursionlimit(limit)
-        # kept generators refer back to the search; dropping the table
-        # frees the search by refcount
-        search.nodes.clear()
+    with _LIMIT_LOCK:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10000))
+        try:
+            s = Sequent.make([desugar(f) for f in s.left],
+                             [desugar(f) for f in s.right])
+            d = search.prove(s)
+        finally:
+            sys.setrecursionlimit(limit)
+            # kept generators refer back to the search; dropping the table
+            # frees the search by refcount
+            search.nodes.clear()
     if d is not None:
         outcome = Outcome.PROVED
     elif search.limit is not None:

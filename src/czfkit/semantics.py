@@ -21,10 +21,7 @@ class UnassignedVariable(KeyError):
 def _eval_term(t: Term, env: dict[str, HFSet]) -> HFSet:
     if isinstance(t, Lit):
         return t.value
-    try:
-        return env[t.name]
-    except KeyError:
-        raise UnassignedVariable(t.name) from None
+    return env[t.name]
 
 
 def satisfies(universe: HFSet, f: Formula, env: dict[str, HFSet] | None = None) -> bool:
@@ -32,8 +29,13 @@ def satisfies(universe: HFSet, f: Formula, env: dict[str, HFSet] | None = None) 
 
     A step function per node class, through _STEPS, takes (universe, node,
     environment) and calls its children's steps itself: one frame per
-    formula level.  A quantifier rebinds its variable in a copy of env."""
-    return _STEPS[type(f)](universe, f, env or {})
+    formula level.  A quantifier rebinds its variable in a copy of env.
+    Free variables are checked first, so a skipped operand hides none."""
+    step, env = _STEPS[type(f)], env or {}  # a non-formula: TypeError
+    for v in f._fv:  # a loop costs less than a subset test here
+        if v not in env:
+            raise UnassignedVariable(min(f._fv - env.keys()))
+    return step(universe, f, env)
 
 
 def _class_mem(u, f, env):

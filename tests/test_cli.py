@@ -133,6 +133,23 @@ def test_hf_sat(capsys):
     assert capsys.readouterr().err == "error: unassigned variable y\n"
 
 
+@pytest.mark.parametrize("formula, missing", [
+    ("ex y in x. y = z", "z"),
+    ("ex y in x. z = y", "z"),
+    ("x = x | y = y", "y"),
+    ("y = y | x = x", "y"),
+])
+@pytest.mark.parametrize("x", ["{}", "{{}}"])
+def test_hf_sat_unassigned_variable_is_an_input_error(capsys, formula,
+                                                      missing, x):
+    """Whether evaluation reaches the variable or not: no answer, exit 2."""
+    assert run(["hf-sat", formula, "--universe", "{}",
+                "--env", f"x={x}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unassigned variable {missing}\n"
+
+
 def test_lfp(capsys):
     rules = ["{}|-{}", "{{}}|-{{}}"]
     argv = ["lfp"]
@@ -454,6 +471,53 @@ def test_name_options_reject_bad_names(capsys, omega_path, option, name):
     assert captured.out == ""
     assert captured.err.startswith("error: bad name:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth, message", [
+    (1000, f"nested deeper than {MAX_NAME_DEPTH} levels"),
+    (1001, "nested too deeply"),
+])
+def test_name_depth_is_read_off_the_parsed_name(capsys, omega_path, depth,
+                                                message):
+    """Up to the scanner's 1000 levels a name parses and its depth is
+    refused; deeper, the scanner refuses it."""
+    for argv in (["interpret", "x = x", "--env", f"x={chain(depth)}"],
+                 ["powerset-name", "--name", chain(depth)]):
+        assert run(argv + ["--topology", omega_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad name: {message}\n"
+
+
+@pytest.mark.parametrize("name", [
+    "(((()->{0})->{zz})->{0},(()->{0})->{0})",
+    "(((()->{zz})->{0})->{0},(()->{zz})->{0})",
+], ids=["repeated-key-bad-weight", "repeated-bad-subname"])
+def test_names_repeating_a_subname_are_checked_everywhere(capsys, omega_path,
+                                                          name):
+    assert run(["interpret", "x = x", "--topology", omega_path,
+                "--env", f"x={name}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad name: {zz} is not a frame element "
+                            "of the topology\n")
+
+
+@pytest.mark.parametrize("formula", [
+    "x = L", "L in x", "ex y in L. y = x", "all y. ~(L in M)",
+], ids=["atom-right", "atom-left", "bound", "class-atom"])
+@pytest.mark.parametrize("command", [
+    ["interpret"], ["translate", "--mode", "semantic"],
+], ids=["interpret", "translate-semantic"])
+def test_formula_literals_at_the_parse_limit_are_refused(capsys, omega_path,
+                                                         command, formula):
+    argv = command + [formula.replace("L", literal(1000)),
+                      "--topology", omega_path, "--env", "x={}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad hf literal: nested deeper than "
+                            f"{MAX_NAME_DEPTH} levels\n")
 
 
 def test_names_at_the_depth_limit_are_evaluated(capsys, omega_path):

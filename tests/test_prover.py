@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import sys
+import threading
 
 import pytest
 
@@ -169,6 +170,74 @@ def test_prove_restores_recursion_limit(text, outcome):
         assert prove_formula(parse(text), INT).outcome is outcome
         assert sys.getrecursionlimit() == 1500
     finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_overlapping_searches_restore_recursion_limit(monkeypatch):
+    """Search a starts, b starts while a is open, a ends first.  If b could
+    run inside a, it would save a's raised limit and restore that last."""
+    a_open, b_calling, b_open, a_done = (threading.Event() for _ in range(4))
+    desugar, outcomes = prover.desugar, []
+
+    def hook(f):  # prove desugars its one formula inside the raise
+        if threading.current_thread().name == "b":
+            b_open.set()
+            a_done.wait(5)
+        else:
+            a_open.set()
+            b_calling.wait(5)
+            b_open.wait(0.5)  # set at once unless searches run one at a time
+        return desugar(f)
+
+    def search(name):
+        if name == "b":
+            a_open.wait(5)
+            b_calling.set()
+        outcomes.append(prove_formula(parse("x = x"), INT).outcome)
+        if name == "a":
+            a_done.set()
+
+    monkeypatch.setattr(prover, "desugar", hook)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        threads = [threading.Thread(target=search, args=(n,), name=n)
+                   for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert outcomes == [Outcome.NOT_PROVABLE] * 2
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_concurrent_searches_leave_recursion_limit():
+    """More searching threads than cores, switching as often as the
+    interpreter allows."""
+    f = parse("(all x. ex y. x in y) -> ex y. all x. x in y")
+
+    def search():
+        for _ in range(5):
+            outcomes.append(prove_formula(f, CL, budget=60).outcome)
+
+    outcomes = []
+    saved, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+    sys.setrecursionlimit(1500)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert outcomes == [Outcome.BUDGET_EXCEEDED] * 20
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setswitchinterval(interval)
         sys.setrecursionlimit(saved)
 
 

@@ -224,7 +224,24 @@ def test_satisfies_raises_as_the_match_reference():
         want = _outcome(_satisfies_reference, V3, f, env)
         assert want in (UnassignedVariable, ValueError, TypeError), f
         assert _outcome(satisfies, V3, f, env) is want, f
-    # a short-circuited operand raises nothing, in both
+    # a short-circuited operand raises nothing in the reference; satisfies
+    # checks every free variable before it evaluates
     f = parse("x1 = x1 | x9 = x1")
-    assert _outcome(satisfies, V3, f, {"x1": EMPTY}) is True
+    assert _outcome(satisfies, V3, f, {"x1": EMPTY}) is UnassignedVariable
     assert _outcome(_satisfies_reference, V3, f, {"x1": EMPTY}) is True
+
+
+@pytest.mark.parametrize("text, missing", [
+    ("ex y in x. y = z", "z"),
+    ("ex y in x. z = y", "z"),
+    ("x = x | y = y", "y"),
+    ("y = y | x = x", "y"),
+    ("x = x | w = z", "w"),
+])
+@pytest.mark.parametrize("x", [EMPTY, ONE], ids=["x={}", "x={{}}"])
+def test_unassigned_variables_raise_whatever_is_evaluated(text, missing, x):
+    """An unassigned free variable raises, naming the first missing one in
+    sorted order, whether or not evaluation would reach it."""
+    with pytest.raises(UnassignedVariable) as e:
+        satisfies(EMPTY, parse(text), {"x": x})
+    assert str(e.value) == f"unassigned variable {missing}"
